@@ -6,11 +6,13 @@ calibration or simulation-extrapolation, estimates the error variance from
 replicate measurements when available, runs prior-based sensitivity analyses
 when it is not, and ships a Monte Carlo harness that benchmarks the methods
 on synthetic data.
+
+The top level exports the documented analysis API and the exception types;
+lower-level pieces (``ols_fit``, ``extrapolate``, ``corrector_for``, the
+samplers, ...) live in their submodules.
 """
 
 from .correct import (
-    DEFAULT_LAMBDA_GRID,
-    CorrectionResult,
     ErrorVariance,
     SimexConfig,
     bootstrap_ci,
@@ -18,11 +20,9 @@ from .correct import (
     correct_rc,
     correct_simex,
     estimate_tau2_from_replicates,
-    extrapolate,
     fit_uncorrected,
-    simex_estimates_per_lambda,
 )
-from .data import AnalysisSpec, Dataset, design_matrix, load_csv, write_csv
+from .data import AnalysisSpec, Dataset, load_csv
 from .errors import (
     BootstrapError,
     DataError,
@@ -33,56 +33,31 @@ from .errors import (
     SimulationError,
     SingularDesignError,
 )
-from .linreg import FitResult, ols_fit, residual_variance_of, wald_interval
-from .sensitivity import (
-    ErrorVarianceDistribution,
-    SensitivityDraw,
-    SensitivityResult,
-    emit_plot_data,
-    run_sensitivity,
-    sample_tau2,
-    triangular_inverse_cdf,
-    trapezoidal_inverse_cdf,
-    uniform_inverse_cdf,
-)
+from .linreg import wald_interval
+from .sensitivity import ErrorVarianceDistribution, emit_plot_data, run_sensitivity
 from .simstudy import (
-    MethodPerformance,
-    PerformanceSummary,
     ScenarioConfig,
-    ScenarioDerived,
     derive_scenario,
     emit_study_report,
     generate_dataset,
-    load_scenarios,
     run_scenario,
-    scenario_grid,
     scenario_spec,
 )
-from .util import DEFAULT_SEED, substream
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisSpec",
     "BootstrapError",
-    "CorrectionResult",
-    "DEFAULT_LAMBDA_GRID",
-    "DEFAULT_SEED",
     "DataError",
     "Dataset",
     "ErrorVariance",
     "ErrorVarianceDistribution",
-    "FitResult",
     "InfeasibleCorrectionError",
     "InsufficientDataError",
     "InsufficientReplicatesError",
     "MecalibError",
-    "MethodPerformance",
-    "PerformanceSummary",
     "ScenarioConfig",
-    "ScenarioDerived",
-    "SensitivityDraw",
-    "SensitivityResult",
     "SimexConfig",
     "SimulationError",
     "SingularDesignError",
@@ -91,27 +66,14 @@ __all__ = [
     "correct_rc",
     "correct_simex",
     "derive_scenario",
-    "design_matrix",
     "emit_plot_data",
     "emit_study_report",
     "estimate_tau2_from_replicates",
-    "extrapolate",
     "fit_uncorrected",
     "generate_dataset",
     "load_csv",
-    "load_scenarios",
-    "ols_fit",
-    "residual_variance_of",
     "run_scenario",
     "run_sensitivity",
-    "sample_tau2",
-    "scenario_grid",
     "scenario_spec",
-    "simex_estimates_per_lambda",
-    "substream",
-    "trapezoidal_inverse_cdf",
-    "triangular_inverse_cdf",
-    "uniform_inverse_cdf",
     "wald_interval",
-    "write_csv",
 ]

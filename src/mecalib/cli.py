@@ -13,16 +13,17 @@ stage), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
 from .correct import (
+    CORRECTION_METHODS,
+    EXTRAPOLANT_DEGREE,
+    MIN_BOOT,
     ErrorVariance,
     SimexConfig,
     bootstrap_ci,
-    correct_rc,
-    correct_simex,
+    corrector_for,
     estimate_tau2_from_replicates,
     fit_uncorrected,
 )
@@ -30,12 +31,13 @@ from .data import AnalysisSpec, load_csv
 from .errors import MecalibError
 from .sensitivity import ErrorVarianceDistribution, emit_plot_data, run_sensitivity
 from .simstudy import (
+    METHODS,
     emit_study_report,
     load_scenarios,
     run_scenario,
     scenario_grid,
 )
-from .util import DEFAULT_SEED, atomic_write, format_float
+from .util import DEFAULT_SEED, write_csv_rows, write_json
 
 
 def _comma_list(text: str) -> tuple[str, ...]:
@@ -44,6 +46,13 @@ def _comma_list(text: str) -> tuple[str, ...]:
 
 def _comma_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+def _n_boot(text: str) -> int:
+    value = int(text)
+    if value != 0 and value < MIN_BOOT:
+        raise argparse.ArgumentTypeError(f"must be 0 or at least {MIN_BOOT}, got {value}")
+    return value
 
 
 def _print_table(headers, rows, stream=sys.stdout):
@@ -84,16 +93,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--covariates", type=_comma_list, default=(),
                        help="comma-separated covariate columns")
 
+    simex_defaults = SimexConfig()
+
     def add_simex_flags(p):
-        p.add_argument("--lambda-grid", type=_comma_floats, default=(0.0, 0.5, 1.0, 1.5, 2.0),
+        p.add_argument("--lambda-grid", type=_comma_floats, default=simex_defaults.lambda_grid,
                        help="comma-separated noise multipliers, starting at 0")
-        p.add_argument("--n-sim", type=int, default=100,
+        p.add_argument("--n-sim", type=int, default=simex_defaults.n_sim,
                        help="pseudo datasets per positive multiplier")
-        p.add_argument("--extrapolant", choices=("linear", "quadratic"), default="quadratic",
+        p.add_argument("--extrapolant", choices=tuple(EXTRAPOLANT_DEGREE),
+                       default=simex_defaults.extrapolant,
                        help="trend model extrapolated to lambda = -1")
 
     def add_common_flags(p, n_boot_default):
-        p.add_argument("--n-boot", type=int, default=n_boot_default,
+        p.add_argument("--n-boot", type=_n_boot, default=n_boot_default,
                        help="bootstrap replicates for percentile CIs (0 disables)")
         p.add_argument("--level", type=float, default=0.95, help="confidence level")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -109,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor = sub.add_parser("correct", formatter_class=fmt,
                            help="correct the exposure coefficient (rc or simex)")
     add_data_flags(p_cor, exposure_required=False)
-    p_cor.add_argument("--method", choices=("rc", "simex"), required=True)
+    p_cor.add_argument("--method", choices=CORRECTION_METHODS, required=True)
     p_cor.add_argument("--tau2", type=float,
                        help="known measurement error variance (external source)")
     p_cor.add_argument("--replicates", type=_comma_list,
@@ -122,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sen = sub.add_parser("sensitivity", formatter_class=fmt,
                            help="correction across a prior distribution for tau2")
     add_data_flags(p_sen)
-    p_sen.add_argument("--method", choices=("rc", "simex"), required=True)
+    p_sen.add_argument("--method", choices=CORRECTION_METHODS, required=True)
     p_sen.add_argument("--tau2-dist", choices=("uniform", "triangular", "trapezoidal"),
                        required=True, help="prior distribution family for tau2")
     p_sen.add_argument("--tau2-min", type=float, required=True)
@@ -145,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenarios-file",
                        help="JSON file with custom scenarios (overrides --scenario)")
     p_sim.add_argument("--reps", type=int, help="override repetitions per scenario")
-    p_sim.add_argument("--methods", type=_comma_list, default=("uncorrected", "rc", "simex"),
-                       help="comma-separated subset of uncorrected,rc,simex")
+    p_sim.add_argument("--methods", type=_comma_list, default=METHODS,
+                       help="comma-separated subset of " + ",".join(METHODS))
     p_sim.add_argument("--full", action="store_true",
                        help="include the slow n=10000 scenario in 'all'")
     add_common_flags(p_sim, n_boot_default=0)
@@ -182,6 +194,10 @@ def _analysis_inputs(args, parser):
     return data, spec, tau2
 
 
+def _simex_config(args) -> SimexConfig:
+    return SimexConfig(args.lambda_grid, args.n_sim, args.extrapolant, args.seed)
+
+
 def _cmd_fit(args, parser) -> int:
     spec = AnalysisSpec(args.outcome, (args.exposure,), args.covariates)
     data = load_csv(args.input, spec)
@@ -195,27 +211,17 @@ def _cmd_fit(args, parser) -> int:
     print(f"n={fit.n}  p={fit.p}  residual_variance={_num(fit.residual_variance, 8)}  "
           f"r_squared={_num(fit.r_squared, 6)}")
     if args.output:
-        with atomic_write(args.output) as handle:
-            handle.write("term,coefficient,std_error\n")
-            for term, coef, se in zip(terms, fit.coefficients, fit.standard_errors):
-                handle.write(f"{term},{format_float(coef)},{format_float(se)}\n")
+        write_csv_rows(args.output, ("term", "coefficient", "std_error"),
+                       zip(terms, fit.coefficients, fit.standard_errors))
         print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_correct(args, parser) -> int:
     data, spec, tau2 = _analysis_inputs(args, parser)
-    cfg = SimexConfig(
-        lambda_grid=args.lambda_grid,
-        n_sim=args.n_sim,
-        extrapolant=args.extrapolant,
-        seed=args.seed,
-    )
+    cfg = _simex_config(args)
     uncorrected = fit_uncorrected(data, spec)
-    if args.method == "rc":
-        result = correct_rc(data, spec, tau2)
-    else:
-        result = correct_simex(data, spec, tau2, cfg)
+    result = corrector_for(args.method)(data, spec, tau2, cfg)
     if args.n_boot:
         lower, upper = bootstrap_ci(
             data, spec, args.method, tau2, cfg,
@@ -250,15 +256,10 @@ def _cmd_correct(args, parser) -> int:
             "tau2": tau2.tau2,
             "tau2_source": tau2.source,
             "uncorrected_estimate": float(uncorrected.coefficients[1]),
-            "diagnostics": {
-                key: (dict(value) if isinstance(value, dict) else value)
-                for key, value in result.diagnostics.items()
-            },
+            "diagnostics": dict(result.diagnostics),
             "seed": args.seed,
         }
-        with atomic_write(args.output) as handle:
-            json.dump(payload, handle, indent=2, default=float)
-            handle.write("\n")
+        write_json(args.output, payload)
         print(f"wrote {args.output}")
     return 0
 
@@ -284,12 +285,7 @@ def _cmd_sensitivity(args, parser) -> int:
     dist = _make_distribution(args, parser)
     spec = AnalysisSpec(args.outcome, (args.exposure,), args.covariates)
     data = load_csv(args.input, spec)
-    cfg = SimexConfig(
-        lambda_grid=args.lambda_grid,
-        n_sim=args.n_sim,
-        extrapolant=args.extrapolant,
-        seed=args.seed,
-    )
+    cfg = _simex_config(args)
     ci = None if args.ci == "auto" else args.ci == "on"
     result = run_sensitivity(
         data, spec, dist, args.method,
@@ -328,7 +324,7 @@ def _select_scenarios(args, parser):
 
 def _cmd_simulate(args, parser) -> int:
     for method in args.methods:
-        if method not in ("uncorrected", "rc", "simex"):
+        if method not in METHODS:
             parser.error(f"simulate: unknown method {method!r}")
     scenarios = _select_scenarios(args, parser)
     summaries = []
@@ -355,27 +351,21 @@ def _cmd_simulate(args, parser) -> int:
     return 0
 
 
+# subcommand -> (handler, stage named in runtime error messages)
 _COMMANDS = {
-    "fit": _cmd_fit,
-    "correct": _cmd_correct,
-    "sensitivity": _cmd_sensitivity,
-    "simulate": _cmd_simulate,
-}
-
-_STAGES = {
-    "fit": "fitting",
-    "correct": "correction",
-    "sensitivity": "sensitivity analysis",
-    "simulate": "simulation study",
+    "fit": (_cmd_fit, "fitting"),
+    "correct": (_cmd_correct, "correction"),
+    "sensitivity": (_cmd_sensitivity, "sensitivity analysis"),
+    "simulate": (_cmd_simulate, "simulation study"),
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    stage = _STAGES[args.subcommand]
+    command, stage = _COMMANDS[args.subcommand]
     try:
-        return _COMMANDS[args.subcommand](args, parser)
+        return command(args, parser)
     except (MecalibError, ValueError, OSError) as exc:
         print(f"mecalib: error during {stage}: {exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ Confidence intervals come from a row-resampling percentile bootstrap.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -38,6 +39,12 @@ from .linreg import FitResult, ols_fit, residual_variance_of
 from .util import draw_seed, parallel_map, substream
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+# Correction methods, in the order their per-method seeds are drawn.
+CORRECTION_METHODS = ("rc", "simex")
+
+# Smallest bootstrap that gives usable percentile intervals.
+MIN_BOOT = 50
 
 EXTRAPOLANT_DEGREE = {"linear": 1, "quadratic": 2}
 
@@ -80,6 +87,8 @@ class SimexConfig:
     def __post_init__(self):
         object.__setattr__(self, "lambda_grid", tuple(float(lam) for lam in self.lambda_grid))
         grid = self.lambda_grid
+        if not all(math.isfinite(lam) for lam in grid):
+            raise ValueError(f"lambda_grid must hold finite numbers, got {grid}")
         if len(grid) < 2:
             raise ValueError("lambda_grid needs at least two points")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -146,27 +155,25 @@ def fit_uncorrected(data: Dataset, spec: AnalysisSpec) -> FitResult:
     return ols_fit(X, y)
 
 
-def _covariate_matrix(data: Dataset, spec: AnalysisSpec) -> np.ndarray:
-    blocks = [np.ones(data.n_rows)]
-    blocks.extend(data.column(name) for name in spec.covariates)
-    return np.column_stack(blocks)
-
-
 def conditional_exposure_variance(data: Dataset, spec: AnalysisSpec) -> float:
     """Variance of the error-prone exposure given the covariates.
 
     Residual variance of X* regressed on [1, covariates]; with no covariates
     this is simply the sample variance of X*.
     """
-    return residual_variance_of(_covariate_matrix(data, spec), data.column(spec.exposure))
+    covariates = design_matrix(data, None, spec.covariates)
+    return residual_variance_of(covariates, data.column(spec.exposure))
 
 
-def correct_rc(data: Dataset, spec: AnalysisSpec, tau2: ErrorVariance) -> CorrectionResult:
+def correct_rc(
+    data: Dataset, spec: AnalysisSpec, tau2: ErrorVariance, cfg: SimexConfig | None = None
+) -> CorrectionResult:
     """Regression calibration: scale the naive coefficient by V / (V - tau2).
 
     Feasibility requires tau2 < V; otherwise the assumed error variance
     explains all (or more than) the observed conditional variance of the
-    proxy and no finite correction exists.
+    proxy and no finite correction exists.  ``cfg`` is ignored; it is there
+    so that every corrector has the signature of :func:`corrector_for`.
     """
     fit = fit_uncorrected(data, spec)
     uncorrected = float(fit.coefficients[1])
@@ -299,30 +306,31 @@ def correct_simex(
     )
 
 
-def _corrected_estimate(
-    data: Dataset,
-    spec: AnalysisSpec,
-    corrector: str,
-    tau2: ErrorVariance,
-    cfg: SimexConfig | None,
-) -> float:
-    if corrector == "rc":
-        return correct_rc(data, spec, tau2).estimate
-    if corrector == "simex":
-        return correct_simex(data, spec, tau2, cfg).estimate
-    raise ValueError(f"corrector must be 'rc' or 'simex', got {corrector!r}")
+def corrector_for(method: str):
+    """The correction function ``(data, spec, tau2, cfg) -> CorrectionResult`` of ``method``.
+
+    The mapping is built on every call from the module's current bindings,
+    so a rebound ``correct_rc`` or ``correct_simex`` is the one returned.
+    """
+    correctors = dict(zip(CORRECTION_METHODS, (correct_rc, correct_simex)))
+    if method not in correctors:
+        raise ValueError(f"corrector must be one of {CORRECTION_METHODS}, got {method!r}")
+    return correctors[method]
 
 
 def _bootstrap_replicate(
     data: Dataset,
     spec: AnalysisSpec,
-    corrector: str,
+    correct,
     tau2: ErrorVariance,
     cfg: SimexConfig | None,
     seed: int,
     index: int,
 ) -> float | None:
-    """One resample-and-correct pass; None signals a failed replicate."""
+    """One resample-and-correct pass; None signals a failed replicate.
+
+    A given ``cfg`` gets a fresh seed per replicate, drawn after the rows.
+    """
     rng = substream(seed, index)
     rows = rng.integers(0, data.n_rows, size=data.n_rows)
     resample = data.take_rows(rows)
@@ -331,9 +339,9 @@ def _bootstrap_replicate(
         if tau2.source == "replicates"
         else tau2
     )
-    cfg_b = replace(cfg, seed=draw_seed(rng)) if corrector == "simex" else None
+    cfg_b = None if cfg is None else replace(cfg, seed=draw_seed(rng))
     try:
-        return _corrected_estimate(resample, spec, corrector, tau2_b, cfg_b)
+        return correct(resample, spec, tau2_b, cfg_b).estimate
     except (InfeasibleCorrectionError, SingularDesignError):
         return None
 
@@ -362,14 +370,20 @@ def bootstrap_ci(
     singular resample) are dropped; if more than 10% fail the interval is
     abandoned with a :class:`BootstrapError`.
     """
-    if n_boot < 50:
-        raise ValueError(f"n_boot must be at least 50, got {n_boot}")
+    if n_boot < MIN_BOOT:
+        raise ValueError(f"n_boot must be at least {MIN_BOOT}, got {n_boot}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    if corrector == "simex" and cfg is None:
-        raise ValueError("simex bootstrap needs a SimexConfig")
+    correct = corrector_for(corrector)
+    # SIMEX is the one randomized corrector; RC ignores cfg, so its replicates
+    # get None and skip the per-replicate reseed.
+    randomized = corrector == "simex"
+    if randomized and cfg is None:
+        raise ValueError("the simex corrector needs a SimexConfig")
 
-    worker = partial(_bootstrap_replicate, data, spec, corrector, tau2, cfg, seed)
+    worker = partial(
+        _bootstrap_replicate, data, spec, correct, tau2, cfg if randomized else None, seed
+    )
     replicate_estimates = parallel_map(worker, range(n_boot), threads=threads)
     estimates = [est for est in replicate_estimates if est is not None]
     failures = n_boot - len(estimates)

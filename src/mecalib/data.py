@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .util import format_float
+from .util import write_csv_rows
 
 
 @dataclass(frozen=True)
@@ -181,23 +181,23 @@ def load_csv(path: str | os.PathLike, spec: AnalysisSpec) -> Dataset:
 def write_csv(data: Dataset, path: str | os.PathLike) -> None:
     """Write a Dataset as CSV with 17 significant digits per value.
 
-    Reloading the file reproduces the in-memory values bit for bit.
+    Reloading the file reproduces the in-memory values bit for bit.  The file
+    is written atomically.
     """
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(data.column_names)
-        for row in data.values:
-            writer.writerow([format_float(v) for v in row])
+    write_csv_rows(path, data.column_names, data.values)
 
 
-def design_matrix(data: Dataset, exposure_col: str, covariates=()) -> np.ndarray:
+def design_matrix(data: Dataset, exposure_col: str | None, covariates=()) -> np.ndarray:
     """Assemble the outcome-model design matrix [1, exposure, covariates...].
 
     Column order is fixed: intercept, then the exposure, then the covariates
-    in the declared order.  Pure construction: rank and sample-size checks
-    happen at fit time.
+    in the declared order.  ``exposure_col=None`` leaves the exposure out,
+    which gives the calibration model's [1, covariates...].  Pure
+    construction: rank and sample-size checks happen at fit time.
     """
     covariates = tuple(covariates)
-    blocks = [np.ones(data.n_rows), data.column(exposure_col)]
+    blocks = [np.ones(data.n_rows)]
+    if exposure_col is not None:
+        blocks.append(data.column(exposure_col))
     blocks.extend(data.column(name) for name in covariates)
     return np.column_stack(blocks)

@@ -9,7 +9,6 @@ amount of measurement error.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -18,16 +17,10 @@ from statistics import median
 
 import numpy as np
 
-from .correct import (
-    ErrorVariance,
-    SimexConfig,
-    bootstrap_ci,
-    correct_rc,
-    correct_simex,
-)
+from .correct import ErrorVariance, SimexConfig, bootstrap_ci, corrector_for
 from .data import AnalysisSpec, Dataset
 from .errors import InfeasibleCorrectionError
-from .util import atomic_write, draw_seed, format_float, parallel_map, substream
+from .util import draw_seed, parallel_map, substream, write_csv_rows, write_json
 
 PLOT_DATA_COLUMNS = ("tau2", "estimate", "ci_lower", "ci_upper", "status")
 
@@ -173,13 +166,9 @@ def _run_draw(data, spec, method, simex_config, ci, n_boot, level, seed, job) ->
     corrector_seed = draw_seed(rng)
     ci_seed = draw_seed(rng)
     error_variance = ErrorVariance(tau2=float(tau2_value), source="external")
+    cfg = replace(simex_config, seed=corrector_seed)
     try:
-        if method == "rc":
-            result = correct_rc(data, spec, error_variance)
-            cfg = None
-        else:
-            cfg = replace(simex_config, seed=corrector_seed)
-            result = correct_simex(data, spec, error_variance, cfg)
+        result = corrector_for(method)(data, spec, error_variance, cfg)
         lower = upper = None
         if ci:
             lower, upper = bootstrap_ci(
@@ -214,8 +203,7 @@ def run_sensitivity(
     every draw is infeasible the analysis raises instead of returning an
     empty summary.  Deterministic given ``seed``, whatever ``threads`` is.
     """
-    if method not in ("rc", "simex"):
-        raise ValueError(f"method must be 'rc' or 'simex', got {method!r}")
+    corrector_for(method)  # rejects an unknown method before any draw
     if ci is None:
         ci = method == "rc"
     if simex_config is None:
@@ -258,31 +246,16 @@ def emit_plot_data(result: SensitivityResult, path: str | os.PathLike) -> tuple[
     base, ext = os.path.splitext(csv_path)
     json_path = base + (".summary.json" if ext == ".json" else ".json")
 
-    def cell(value):
-        return "" if value is None else format_float(value)
-
-    with atomic_write(csv_path) as handle:
-        handle.write(",".join(PLOT_DATA_COLUMNS) + "\n")
-        for draw in sorted(result.draws, key=lambda d: d.tau2):
-            handle.write(
-                ",".join(
-                    [
-                        format_float(draw.tau2),
-                        cell(draw.estimate),
-                        cell(draw.ci_lower),
-                        cell(draw.ci_upper),
-                        draw.status,
-                    ]
-                )
-                + "\n"
-            )
+    rows = [
+        (draw.tau2, draw.estimate, draw.ci_lower, draw.ci_upper, draw.status)
+        for draw in sorted(result.draws, key=lambda d: d.tau2)
+    ]
+    write_csv_rows(csv_path, PLOT_DATA_COLUMNS, rows)
     sidecar = {
         "method": result.method,
         "m": len(result.draws),
         "distribution": result.distribution.parameters(),
         "summary": result.summary,
     }
-    with atomic_write(json_path) as handle:
-        json.dump(sidecar, handle, indent=2)
-        handle.write("\n")
+    write_json(json_path, sidecar)
     return csv_path, json_path

@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .correct import (
+    CORRECTION_METHODS,
     SimexConfig,
     bootstrap_ci,
-    correct_rc,
-    correct_simex,
+    corrector_for,
     estimate_tau2_from_replicates,
     fit_uncorrected,
 )
@@ -44,14 +44,7 @@ from .errors import (
     SingularDesignError,
 )
 from .linreg import wald_interval
-from .util import (
-    DEFAULT_SEED,
-    atomic_write,
-    draw_seed,
-    format_float,
-    parallel_map,
-    substream,
-)
+from .util import DEFAULT_SEED, draw_seed, parallel_map, substream, write_csv_rows, write_json
 
 TRUE_EFFECT = 0.2
 
@@ -60,10 +53,9 @@ AGE_MEAN, AGE_VAR = 32.0, 25.0
 BP_INTERCEPT, BP_VAR_GIVEN_AGE = 120.0, 50.0
 OUTCOME_INTERCEPT, AGE_EFFECT = 30.0, 0.2
 
-METHODS = ("uncorrected", "rc", "simex")
+METHODS = ("uncorrected", *CORRECTION_METHODS)
 
 BASE_NAME = "base"
-BASE_KNOBS = {"tau2": 30.0, "n": 500, "k": 3, "sigma2": 100.0, "gamma": 0.0}
 
 # sweep name -> (swept knob, values beyond base)
 SWEEPS = {
@@ -89,13 +81,17 @@ class ScenarioConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for knob in ("n", "k", "n_reps", "seed"):
+            value = getattr(self, knob)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{knob} must be an integer, got {value!r}")
         if not np.isfinite(self.tau2) or self.tau2 < 0.0:
             raise ValueError(f"tau2 must be nonnegative, got {self.tau2}")
         if self.n < 4:
             raise ValueError(f"n must leave degrees of freedom for 3 parameters, got {self.n}")
         if self.k < 2:
             raise ValueError(f"k must be at least 2 replicates, got {self.k}")
-        if self.sigma2 <= 0.0:
+        if not np.isfinite(self.sigma2) or self.sigma2 <= 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         if not np.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
@@ -199,43 +195,32 @@ def _run_repetition(args):
     data = generate_dataset(cfg, rep)
     spec = scenario_spec(cfg.k)
     tau2 = estimate_tau2_from_replicates(data, spec)
-    # Analysis seeds are drawn up front in a fixed order so that results for
-    # one method do not depend on which other methods were requested.
+    # Analysis seeds are drawn up front in a fixed order (SIMEX seed, then one
+    # bootstrap seed per correction method) so that results for one method do
+    # not depend on which other methods were requested.
     rng = substream(cfg.seed, rep, 1)
-    simex_seed = draw_seed(rng)
-    rc_boot_seed = draw_seed(rng)
-    simex_boot_seed = draw_seed(rng)
+    cfg_rep = replace(simex_config, seed=draw_seed(rng))
+    boot_seeds = {method: draw_seed(rng) for method in CORRECTION_METHODS}
 
     out = {}
     if "uncorrected" in methods:
         fit = fit_uncorrected(data, spec)
         lower, upper = wald_interval(fit, index=1, level=level)
         out["uncorrected"] = (float(fit.coefficients[1]), lower, upper)
-    if "rc" in methods:
+    for method in CORRECTION_METHODS:
+        if method not in methods:
+            continue
         try:
-            estimate = correct_rc(data, spec, tau2).estimate
+            estimate = corrector_for(method)(data, spec, tau2, cfg_rep).estimate
             lower = upper = np.nan
             if n_boot:
                 lower, upper = bootstrap_ci(
-                    data, spec, "rc", tau2, None,
-                    n_boot=n_boot, level=level, seed=rc_boot_seed,
+                    data, spec, method, tau2, cfg_rep,
+                    n_boot=n_boot, level=level, seed=boot_seeds[method],
                 )
-            out["rc"] = (estimate, lower, upper)
+            out[method] = (estimate, lower, upper)
         except (InfeasibleCorrectionError, BootstrapError, SingularDesignError):
-            out["rc"] = None
-    if "simex" in methods:
-        cfg_rep = replace(simex_config, seed=simex_seed)
-        try:
-            estimate = correct_simex(data, spec, tau2, cfg_rep).estimate
-            lower = upper = np.nan
-            if n_boot:
-                lower, upper = bootstrap_ci(
-                    data, spec, "simex", tau2, cfg_rep,
-                    n_boot=n_boot, level=level, seed=simex_boot_seed,
-                )
-            out["simex"] = (estimate, lower, upper)
-        except (InfeasibleCorrectionError, BootstrapError, SingularDesignError):
-            out["simex"] = None
+            out[method] = None
     return out
 
 
@@ -348,7 +333,7 @@ def scenario_sweep_knob(cfg: ScenarioConfig, base: ScenarioConfig | None = None)
     """
     reference = base if base is not None else ScenarioConfig(name=BASE_NAME)
     differing = [
-        knob for knob in BASE_KNOBS
+        knob for knob, _ in SWEEPS.values()
         if getattr(cfg, knob) != getattr(reference, knob)
     ]
     return differing[0] if len(differing) == 1 else None
@@ -367,7 +352,7 @@ def load_scenarios(path: str | os.PathLike) -> list[ScenarioConfig]:
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"{path}: expected a nonempty JSON list of scenario objects")
     scenarios = []
-    allowed = {"name", "tau2", "n", "k", "sigma2", "gamma", "n_reps", "seed"}
+    allowed = {f.name for f in fields(ScenarioConfig)}
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ValueError(f"{path}: scenario {i} is not an object")
@@ -393,8 +378,6 @@ REPORT_COLUMNS = (
 
 
 def _summary_as_dict(summary: PerformanceSummary) -> dict:
-    from dataclasses import asdict
-
     return {
         "scenario": asdict(summary.scenario),
         "derived": asdict(summary.derived),
@@ -418,15 +401,8 @@ def emit_study_report(summaries, out_dir: str | os.PathLike) -> list[str]:
     written = []
 
     json_path = os.path.join(os.fspath(out_dir), "summaries.json")
-    with atomic_write(json_path) as handle:
-        json.dump([_summary_as_dict(s) for s in summaries], handle, indent=2)
-        handle.write("\n")
+    write_json(json_path, [_summary_as_dict(s) for s in summaries])
     written.append(json_path)
-
-    def cell(value) -> str:
-        if value is None or (isinstance(value, float) and not np.isfinite(value)):
-            return ""
-        return format_float(value)
 
     base_summaries = [s for s in summaries if s.scenario.name == BASE_NAME]
     base_cfg = base_summaries[0].scenario if base_summaries else None
@@ -441,29 +417,12 @@ def emit_study_report(summaries, out_dir: str | os.PathLike) -> list[str]:
         rows = members + base_summaries
         rows.sort(key=lambda s: getattr(s.scenario, knob))
         path = os.path.join(os.fspath(out_dir), f"{sweep_name}.csv")
-        with atomic_write(path) as handle:
-            handle.write(",".join((knob,) + REPORT_COLUMNS) + "\n")
-            for summary in rows:
-                is_base = summary.scenario.name == BASE_NAME
-                for method in METHODS:
-                    if method not in summary.methods:
-                        continue
-                    perf = summary.methods[method]
-                    handle.write(
-                        ",".join(
-                            [
-                                format_float(getattr(summary.scenario, knob)),
-                                method,
-                                cell(perf.percent_bias),
-                                cell(perf.bias_mcse),
-                                cell(perf.mse),
-                                cell(perf.mse_mcse),
-                                cell(perf.coverage),
-                                cell(perf.coverage_mcse),
-                                "true" if is_base else "false",
-                            ]
-                        )
-                        + "\n"
-                    )
+        write_csv_rows(path, (knob,) + REPORT_COLUMNS, [
+            (getattr(summary.scenario, knob), method, perf.percent_bias, perf.bias_mcse,
+             perf.mse, perf.mse_mcse, perf.coverage, perf.coverage_mcse,
+             summary.scenario.name == BASE_NAME)
+            for summary in rows
+            for method, perf in summary.methods.items()
+        ])
         written.append(path)
     return written

@@ -1,4 +1,4 @@
-"""Shared plumbing: deterministic RNG sub-streams, atomic file output.
+"""Shared plumbing: deterministic RNG sub-streams, atomic CSV and JSON output.
 
 Every randomized operation in this package is a pure function of its inputs
 and a single integer seed.  Independent work units (bootstrap replicates,
@@ -9,6 +9,9 @@ execution order and re-runs are bit-identical.
 
 from __future__ import annotations
 
+import csv
+import json
+import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -43,20 +46,17 @@ def parallel_map(fn, jobs, threads: int = 1, chunksize: int | None = None) -> li
 
     Results come back in job order either way, and every job carries its own
     RNG addressing, so the output is identical for any ``threads`` value.
-    ``fn`` and the jobs must be picklable when ``threads > 1``.
+    ``fn`` and the jobs must be picklable when ``threads > 1``.  The pool
+    never has more workers than CPUs or jobs.
     """
     jobs = list(jobs)
-    if threads <= 1 or len(jobs) <= 1:
+    workers = min(threads, os.cpu_count() or 1, len(jobs))
+    if workers <= 1:
         return [fn(job) for job in jobs]
     if chunksize is None:
-        chunksize = max(1, len(jobs) // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunksize = max(1, len(jobs) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=chunksize))
-
-
-def format_float(value: float) -> str:
-    """Render a float with 17 significant digits (lossless text round-trip)."""
-    return f"{value:.17g}"
 
 
 @contextmanager
@@ -75,3 +75,44 @@ def atomic_write(path: str | os.PathLike):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _format_cell(value) -> str:
+    """Render one CSV cell.
+
+    None and non-finite floats become empty cells, booleans ``true``/``false``,
+    floats 17 significant digits (a lossless text round trip), and anything
+    else (ints, strings) ``str``.
+    """
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def write_csv_rows(path: str | os.PathLike, header, rows) -> None:
+    """Atomically write a header and rows as CSV, cells as in :func:`_format_cell`."""
+    with atomic_write(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_format_cell(value) for value in row] for row in rows)
+
+
+def _strict_json(value):
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def write_json(path: str | os.PathLike, payload) -> None:
+    """Atomically write ``payload`` as indented strict JSON; NaN and inf become null."""
+    with atomic_write(path) as handle:
+        json.dump(_strict_json(payload), handle, indent=2, allow_nan=False, default=float)
+        handle.write("\n")

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from mecalib import (
-    DEFAULT_SEED,
     AnalysisSpec,
     Dataset,
     ErrorVariance,
@@ -26,16 +25,16 @@ from mecalib import (
     correct_simex,
     emit_study_report,
     estimate_tau2_from_replicates,
-    extrapolate,
     fit_uncorrected,
     generate_dataset,
-    ols_fit,
     run_scenario,
     run_sensitivity,
-    sample_tau2,
     scenario_spec,
-    simex_estimates_per_lambda,
 )
+from mecalib.correct import extrapolate, simex_estimates_per_lambda
+from mecalib.linreg import ols_fit
+from mecalib.sensitivity import sample_tau2
+from mecalib.util import DEFAULT_SEED
 
 from conftest import base_scenario_dataset
 from test_sensitivity import ks_statistic, triangular_cdf

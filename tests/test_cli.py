@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from mecalib import write_csv
+from mecalib.data import write_csv
 
 from conftest import base_scenario_dataset
 
@@ -76,6 +76,32 @@ def test_usage_errors_exit_2(study_csv):
     )
     assert proc.returncode == 2  # both sources
     assert run_cli("simulate", "--scenario", "bogus").returncode == 2
+
+
+@pytest.mark.parametrize("n_boot", ["1", "49", "-5"])
+def test_too_small_n_boot_is_usage_error(study_csv, tmp_path, n_boot):
+    data = ("--input", str(study_csv), "--outcome", "creatinine", "--exposure", "bp_star_1")
+    commands = [
+        ("correct", *data, "--method", "rc", "--tau2", "5"),
+        ("sensitivity", *data, "--method", "rc", "--tau2-dist", "uniform",
+         "--tau2-min", "1", "--tau2-max", "5", "--output", str(tmp_path / "s.csv")),
+        ("simulate", "--scenario", "base", "--reps", "2", "--out-dir", str(tmp_path / "o")),
+    ]
+    for command in commands:
+        proc = run_cli(*command, "--n-boot", n_boot)
+        assert proc.returncode == 2, (command[0], proc.stderr)
+        assert "--n-boot" in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_non_finite_lambda_is_runtime_error(study_csv):
+    proc = run_cli(
+        "correct", "--input", str(study_csv), "--outcome", "creatinine",
+        "--exposure", "bp_star_1", "--method", "simex", "--tau2", "5",
+        "--lambda-grid", "0,0.5,nan",
+    )
+    assert proc.returncode == 1
+    assert "lambda_grid" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_help_documents_defaults():

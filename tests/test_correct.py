@@ -17,13 +17,13 @@ from mecalib import (
     conditional_exposure_variance,
     correct_rc,
     correct_simex,
-    design_matrix,
     estimate_tau2_from_replicates,
-    extrapolate,
     fit_uncorrected,
-    ols_fit,
-    simex_estimates_per_lambda,
 )
+from mecalib.correct import extrapolate, simex_estimates_per_lambda
+from mecalib.data import design_matrix
+from mecalib.linreg import ols_fit
+from mecalib import util
 from mecalib.util import substream
 
 from conftest import base_scenario_dataset, exact_line_dataset
@@ -176,6 +176,10 @@ def test_simex_config_validation():
         SimexConfig(extrapolant="cubic")
     with pytest.raises(ValueError, match="too short"):
         SimexConfig(lambda_grid=(0.0, 1.0), extrapolant="quadratic")
+    with pytest.raises(ValueError, match="finite"):
+        SimexConfig(lambda_grid=(0.0, 0.5, float("nan")))
+    with pytest.raises(ValueError, match="finite"):
+        SimexConfig(lambda_grid=(0.0, 1.0, float("inf")))
 
 
 def test_simex_lambda_map_zero_tau2_is_flat():
@@ -378,6 +382,34 @@ def test_bootstrap_deterministic_and_thread_invariant():
     second = bootstrap_ci(data, spec, "rc", tau2, **kwargs)
     pooled = bootstrap_ci(data, spec, "rc", tau2, threads=2, **kwargs)
     assert first == second == pooled
+
+
+def test_parallel_map_caps_workers_at_cpus_and_jobs(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(util, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(util.os, "cpu_count", lambda: 4)
+    assert util.parallel_map(abs, [-1, -2, -3], threads=64) == [1, 2, 3]
+    assert util.parallel_map(abs, range(10), threads=64) == list(range(10))
+    assert util.parallel_map(abs, range(10), threads=2) == list(range(10))
+    assert pools == [3, 4, 2]
+    # a single usable worker runs in-process, without a pool
+    monkeypatch.setattr(util.os, "cpu_count", lambda: 1)
+    assert util.parallel_map(abs, [-5, -6], threads=8) == [5, 6]
+    assert pools == [3, 4, 2]
 
 
 def test_bootstrap_simex_deterministic():

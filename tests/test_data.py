@@ -5,10 +5,10 @@ from mecalib import (
     AnalysisSpec,
     DataError,
     Dataset,
-    design_matrix,
     load_csv,
-    write_csv,
 )
+from mecalib.data import design_matrix, write_csv
+from mecalib.util import write_csv_rows, write_json
 
 
 def test_load_csv_happy_path(csv_file, toy_spec):
@@ -80,6 +80,32 @@ def test_csv_round_trip_bit_identical(tmp_path):
     assert np.array_equal(reloaded.values, data.values)
 
 
+def test_shared_csv_writer_cells(tmp_path):
+    floats = [0.1, 1 / 3, -0.0, 1e-300, 123456789.123456789, np.float64(np.pi)]
+    rows = [
+        ("none", None, 7, True),
+        ("nan", float("nan"), np.int64(500), False),
+        ("inf", float("-inf"), 0, True),
+        ("whole", 30.0, 500, False),
+    ] + [("float", value, 1, False) for value in floats]
+    path = tmp_path / "rows.csv"
+    write_csv_rows(path, ("label", "value", "n", "flag"), rows)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "label,value,n,flag"
+    assert lines[1:5] == ["none,,7,true", "nan,,500,false", "inf,,0,true", "whole,30,500,false"]
+    for line, value in zip(lines[5:], floats):
+        text = line.split(",")[1]
+        assert np.float64(float(text)).tobytes() == np.float64(value).tobytes()
+
+
+def test_shared_json_writer_is_strict(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"a": float("nan"), "b": [1.5, float("inf")], "c": (np.float64(2.0),)})
+    assert path.read_text() == (
+        '{\n  "a": null,\n  "b": [\n    1.5,\n    null\n  ],\n  "c": [\n    2.0\n  ]\n}\n'
+    )
+
+
 def test_dataset_invariants():
     with pytest.raises(DataError, match="duplicate"):
         Dataset(("a", "a"), np.ones((2, 2)))
@@ -142,6 +168,14 @@ def test_design_matrix_column_order_and_count():
     assert np.all(X[:, 0] == 1.0)
     assert np.array_equal(X[:, 1], data.column("x"))
     assert np.array_equal(X[:, 2:], data.columns(("c1", "c2", "c3")))
+
+
+def test_design_matrix_without_exposure_is_covariate_design():
+    data = Dataset(("y", "x", "age"), np.array([[0.0, 5.0, 30.0], [0.0, 7.0, 40.0]]))
+    assert design_matrix(data, None, ("age",)).tolist() == [[1.0, 30.0], [1.0, 40.0]]
+    assert np.array_equal(design_matrix(data, None, ("age",)),
+                          np.delete(design_matrix(data, "x", ("age",)), 1, axis=1))
+    assert design_matrix(data, None).tolist() == [[1.0], [1.0]]
 
 
 def test_design_matrix_unknown_column():

@@ -4,11 +4,9 @@ import pytest
 from mecalib import (
     InsufficientDataError,
     SingularDesignError,
-    ols_fit,
-    residual_variance_of,
     wald_interval,
 )
-from mecalib.linreg import RANK_TOLERANCE
+from mecalib.linreg import RANK_TOLERANCE, ols_fit, residual_variance_of
 
 from conftest import base_scenario_dataset
 

@@ -16,9 +16,8 @@ from mecalib import (
     emit_plot_data,
     fit_uncorrected,
     run_sensitivity,
-    sample_tau2,
 )
-from mecalib.sensitivity import _draw_rng, triangular_inverse_cdf
+from mecalib.sensitivity import _draw_rng, sample_tau2, triangular_inverse_cdf
 from mecalib.util import draw_seed
 
 from conftest import base_scenario_dataset

@@ -12,11 +12,10 @@ from mecalib import (
     emit_study_report,
     estimate_tau2_from_replicates,
     generate_dataset,
-    load_scenarios,
     run_scenario,
-    scenario_grid,
     scenario_spec,
 )
+from mecalib.simstudy import load_scenarios, scenario_grid
 
 
 # --------------------------------------------------------------------------
@@ -205,6 +204,12 @@ def test_scenario_config_validation():
         ScenarioConfig(n_reps=0)
     with pytest.raises(ValueError):
         ScenarioConfig(n=3)
+    with pytest.raises(ValueError, match="sigma2"):
+        ScenarioConfig(sigma2=float("nan"))
+    with pytest.raises(ValueError, match="n must be an integer"):
+        ScenarioConfig(n=100.5)
+    with pytest.raises(ValueError, match="n_reps must be an integer"):
+        ScenarioConfig(n_reps=2.5)
 
 
 # --------------------------------------------------------------------------
@@ -282,3 +287,15 @@ def test_emit_study_report_json_contains_everything(tmp_path):
     assert payload[0]["true_effect"] == 0.2
     assert "reliability" in payload[0]["derived"]
     assert "percent_bias" in payload[0]["methods"]["uncorrected"]
+
+
+def test_emit_study_report_json_is_strict(tmp_path):
+    _, written = tiny_study(tmp_path)
+    text = open([p for p in written if p.endswith(".json")][0]).read()
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(text, parse_constant=reject)
+    rc = payload[0]["methods"]["rc"]
+    assert rc["coverage"] is None and rc["coverage_mcse"] is None  # no bootstrap
