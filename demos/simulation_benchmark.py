@@ -1,9 +1,9 @@
 """Benchmark the three analyses on a slice of the scenario grid.
 
 Runs the base scenario plus a low-reliability and a high-replicate variant at
-a reduced repetition count (about a minute on one core; the SIMEX bootstrap
-dominates), printing bias / MSE / coverage per method and writing the report
-files. The full grid is available from the command line:
+a reduced repetition count (about 40 seconds on one core), printing bias /
+MSE / coverage per method and writing the report files. The full grid is
+available from the command line:
 `mecalib simulate --scenario all`.
 """
 

@@ -55,14 +55,14 @@ def _n_boot(text: str) -> int:
     return value
 
 
-def _print_table(headers, rows, stream=sys.stdout):
+def _print_table(headers, rows):
     table = [tuple(str(c) for c in headers)] + [tuple(str(c) for c in row) for row in rows]
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
     for r, row in enumerate(table):
         line = "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        print(line, file=stream)
+        print(line)
         if r == 0:
-            print("  ".join("-" * w for w in widths), file=stream)
+            print("  ".join("-" * w for w in widths))
 
 
 def _num(value, digits=6) -> str:
@@ -317,7 +317,9 @@ def _select_scenarios(args, parser):
                 parser.error(f"simulate: unknown scenario {args.scenario!r}; "
                              f"choose from: {names}")
             scenarios = matches
-    if args.reps:
+    if args.reps is not None:
+        if args.reps < 1:
+            parser.error(f"simulate: --reps must be at least 1, got {args.reps}")
         scenarios = [replace(cfg, n_reps=args.reps) for cfg in scenarios]
     return scenarios
 

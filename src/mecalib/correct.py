@@ -36,7 +36,7 @@ from .errors import (
     SingularDesignError,
 )
 from .linreg import FitResult, ols_fit, residual_variance_of
-from .util import draw_seed, parallel_map, substream
+from .util import draw_seed, parallel_map, require_integers, substream
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -85,6 +85,7 @@ class SimexConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "n_sim", "seed")
         object.__setattr__(self, "lambda_grid", tuple(float(lam) for lam in self.lambda_grid))
         grid = self.lambda_grid
         if not all(math.isfinite(lam) for lam in grid):
@@ -196,31 +197,18 @@ def correct_rc(
     )
 
 
-def _exposure_projection(X: np.ndarray, y: np.ndarray):
-    """Residualize the exposure column and response on the other design columns.
+def _residual_moments(X: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Inner products ``(sxx, sxy, syy)`` of the residualized exposure and response.
 
-    QR-based projection onto the orthogonal complement of the non-exposure
-    columns; reduces every exposure-perturbed OLS refit to a one-dimensional
-    regression (the classic partialling-out identity).
+    Both are residualized on the non-exposure design columns by QR, which
+    reduces every exposure-perturbed OLS refit to a one-dimensional regression
+    (the classic partialling-out identity).
     """
     others = np.delete(X, 1, axis=1)
     q, _ = np.linalg.qr(others)
     x_res = X[:, 1] - q @ (q.T @ X[:, 1])
     y_res = y - q @ (q.T @ y)
-    return q, x_res, y_res
-
-
-def _exposure_coefs_with_noise(projection, noise: np.ndarray) -> np.ndarray:
-    """Exposure coefficients of OLS refits, one per noise column added to X[:, 1].
-
-    Algebraically identical to rebuilding the design matrix and calling
-    ``ols_fit`` per pseudo dataset, but one BLAS pass for all of them.
-    """
-    q, x_res, y_res = projection
-    noise_res = noise - q @ (q.T @ noise)
-    numer = x_res @ y_res + noise_res.T @ y_res
-    denom = x_res @ x_res + 2.0 * (noise_res.T @ x_res) + np.einsum("ij,ij->j", noise_res, noise_res)
-    return numer / denom
+    return float(x_res @ x_res), float(x_res @ y_res), float(y_res @ y_res)
 
 
 def simex_estimates_per_lambda(
@@ -232,9 +220,10 @@ def simex_estimates_per_lambda(
     formed by adding independent N(0, lambda * tau2) noise to the exposure
     column and refit; the mapping lambda -> mean exposure coefficient is
     returned in grid order.  The lambda = 0 entry is the uncorrected estimate
-    itself with no simulation.  Noise for grid entry i comes from the RNG
-    sub-stream (cfg.seed, i), one column per pseudo dataset, so the result is
-    reproducible bit for bit given the seed.
+    itself with no simulation.  A refit sees the noise only through three
+    numbers (Cook & Stefanski, 1994), drawn exactly as two standard normals
+    and one chi-square per pseudo dataset.  Grid entry i draws from the RNG
+    sub-stream (cfg.seed, i), so the result is reproducible bit for bit.
     """
     X = design_matrix(data, spec.exposure, spec.covariates)
     y = data.column(spec.outcome)
@@ -243,23 +232,24 @@ def simex_estimates_per_lambda(
     if tau2.tau2 == 0.0:
         return {lam: uncorrected for lam in cfg.lambda_grid}
 
-    projection = _exposure_projection(X, y)
-    # bound the noise block at ~32 MB so large datasets stream through
-    block = max(1, min(cfg.n_sim, 4_000_000 // data.n_rows))
+    sxx, sxy, syy = _residual_moments(X, y)
+    # With e1, e2 orthonormal, the residualized exposure is a e1, the response
+    # b e1 + c e2 and the residualized noise sd (z1 e1 + z2 e2 + r), where r
+    # lies in the other n - p - 1 residual dimensions and |r|^2 = sd^2 rest.
+    a = math.sqrt(sxx)
+    b = sxy / a
+    c = math.sqrt(max(syy - b * b, 0.0))
+    rest_df = X.shape[0] - X.shape[1] - 1
     estimates = {0.0: uncorrected}
-    for i, lam in enumerate(cfg.lambda_grid):
-        if lam == 0.0:
-            continue
+    for i, lam in enumerate(cfg.lambda_grid[1:], start=1):  # the grid starts at 0
         rng = substream(cfg.seed, i)
-        sd = np.sqrt(lam * tau2.tau2)
-        coefs = []
-        remaining = cfg.n_sim
-        while remaining > 0:
-            cols = min(block, remaining)
-            noise = rng.normal(0.0, sd, size=(data.n_rows, cols))
-            coefs.append(_exposure_coefs_with_noise(projection, noise))
-            remaining -= cols
-        estimates[lam] = float(np.concatenate(coefs).mean())
+        sd = math.sqrt(lam * tau2.tau2)
+        z1, z2 = rng.standard_normal((2, cfg.n_sim))
+        rest = rng.chisquare(rest_df, cfg.n_sim) if rest_df > 0 else 0.0
+        coefs = (sxy + sd * (b * z1 + c * z2)) / (
+            sxx + 2.0 * sd * a * z1 + sd * sd * (z1 * z1 + z2 * z2 + rest)
+        )
+        estimates[lam] = float(coefs.mean())
     return estimates
 
 
@@ -394,7 +384,8 @@ def bootstrap_ci(
         )
     if failures:
         warnings.warn(
-            f"dropped {failures} of {n_boot} failed bootstrap replicates",
+            f"dropped {failures} of {n_boot} failed bootstrap replicates "
+            f"({corrector} correction, tau2={tau2.tau2:g})",
             stacklevel=2,
         )
     alpha = (1.0 - level) / 2.0

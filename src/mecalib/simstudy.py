@@ -44,7 +44,8 @@ from .errors import (
     SingularDesignError,
 )
 from .linreg import wald_interval
-from .util import DEFAULT_SEED, draw_seed, parallel_map, substream, write_csv_rows, write_json
+from .util import (DEFAULT_SEED, draw_seed, parallel_map, require_integers, substream,
+                   write_csv_rows, write_json)
 
 TRUE_EFFECT = 0.2
 
@@ -81,10 +82,7 @@ class ScenarioConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        for knob in ("n", "k", "n_reps", "seed"):
-            value = getattr(self, knob)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{knob} must be an integer, got {value!r}")
+        require_integers(self, "n", "k", "n_reps", "seed")
         if not np.isfinite(self.tau2) or self.tau2 < 0.0:
             raise ValueError(f"tau2 must be nonnegative, got {self.tau2}")
         if self.n < 4:

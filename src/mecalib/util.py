@@ -36,6 +36,14 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
+def require_integers(obj, *names: str) -> None:
+    """Raise ValueError unless each named attribute of ``obj`` is a non-bool integer."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def draw_seed(rng: np.random.Generator) -> int:
     """Draw a fresh 63-bit seed for a nested randomized operation."""
     return int(rng.integers(0, 2**63))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from mecalib import cli
 from mecalib.data import write_csv
 
 from conftest import base_scenario_dataset
@@ -92,6 +95,25 @@ def test_too_small_n_boot_is_usage_error(study_csv, tmp_path, n_boot):
         assert proc.returncode == 2, (command[0], proc.stderr)
         assert "--n-boot" in proc.stderr
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_non_positive_reps_is_usage_error(tmp_path, reps):
+    out_dir = tmp_path / "o"
+    proc = run_cli("simulate", "--scenario", "base", "--reps", reps, "--out-dir", str(out_dir))
+    assert proc.returncode == 2, proc.stderr
+    assert "--reps" in proc.stderr and "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_tables_follow_redirected_stdout(study_csv):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli.main(["fit", "--input", str(study_csv), "--outcome", "creatinine",
+                         "--exposure", "bp_star_1"])
+    assert code == 0
+    header = buffer.getvalue().splitlines()[0]
+    assert header.split() == ["term", "coefficient", "std_error"]
 
 
 def test_non_finite_lambda_is_runtime_error(study_csv):

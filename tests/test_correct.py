@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mecalib import (
     AnalysisSpec,
@@ -180,6 +181,11 @@ def test_simex_config_validation():
         SimexConfig(lambda_grid=(0.0, 0.5, float("nan")))
     with pytest.raises(ValueError, match="finite"):
         SimexConfig(lambda_grid=(0.0, 1.0, float("inf")))
+    for knobs in ({"n_sim": 2.5}, {"n_sim": True}, {"n_sim": "100"},
+                  {"seed": 1.5}, {"seed": False}, {"seed": 3.0}):
+        with pytest.raises(ValueError, match=f"{next(iter(knobs))} must be an integer"):
+            SimexConfig(**knobs)
+    assert SimexConfig(n_sim=np.int64(10), seed=np.int32(2)).n_sim == 10
 
 
 def test_simex_lambda_map_zero_tau2_is_flat():
@@ -189,25 +195,96 @@ def test_simex_lambda_map_zero_tau2_is_flat():
     assert points == {lam: uncorrected for lam in (0.0, 0.5, 1.0, 1.5, 2.0)}
 
 
+def per_fit_reference(data, spec, tau2, cfg):
+    """Lambda map rebuilt by one ``ols_fit`` refit per pseudo dataset.
+
+    The noise vector of each pseudo dataset is sd * (z1 e1 + z2 e2 + sqrt(rest) e3)
+    from the library's own (z1, z2, rest) draws, where e1 and e2 are the
+    orthonormalized residualized exposure and response and e3 is a unit vector
+    orthogonal to them and to the other design columns.
+    """
+    X = design_matrix(data, spec.exposure, spec.covariates)
+    y = data.column(spec.outcome)
+    n, p = X.shape
+    q, _ = np.linalg.qr(np.delete(X, 1, axis=1))
+    x_res = X[:, 1] - q @ (q.T @ X[:, 1])
+    y_res = y - q @ (q.T @ y)
+    e1 = x_res / np.linalg.norm(x_res)
+    e2 = y_res - (y_res @ e1) * e1
+    e2 /= np.linalg.norm(e2)
+    spanned = np.column_stack([q, e1, e2])
+    e3 = np.zeros(n)  # at n = p + 1 no residual dimension is left for it
+    if n > p + 1:
+        filler = np.random.default_rng(0).standard_normal(n)
+        basis, _ = np.linalg.qr(np.column_stack([spanned, filler]))
+        e3 = basis[:, -1]
+        assert np.abs(spanned.T @ e3).max() < 1e-12
+    points = {}
+    for i, lam in enumerate(cfg.lambda_grid):
+        if lam == 0.0:
+            points[lam] = float(ols_fit(X, y).coefficients[1])
+            continue
+        rng = substream(cfg.seed, i)
+        z1, z2 = rng.standard_normal((2, cfg.n_sim))
+        rest = rng.chisquare(n - p - 1, cfg.n_sim) if n > p + 1 else np.zeros(cfg.n_sim)
+        sd = np.sqrt(lam * tau2.tau2)
+        coefs = []
+        for b in range(cfg.n_sim):
+            Xb = X.copy()
+            Xb[:, 1] += sd * (z1[b] * e1 + z2[b] * e2 + np.sqrt(rest[b]) * e3)
+            coefs.append(ols_fit(Xb, y).coefficients[1])
+        points[lam] = float(np.mean(coefs))
+    return points
+
+
 def test_simex_lambda_map_matches_per_fit_reference():
-    # reference route: rebuild the design matrix per pseudo dataset and refit
     data, spec = base_scenario_dataset(n=200)
     tau2 = estimate_tau2_from_replicates(data, spec)
     cfg = SimexConfig(seed=17, n_sim=25)
     got = simex_estimates_per_lambda(data, spec, tau2, cfg)
+    expected = per_fit_reference(data, spec, tau2, cfg)
+    assert got[0.0] == expected[0.0]
+    for lam in cfg.lambda_grid[1:]:
+        assert got[lam] == pytest.approx(expected[lam], rel=1e-10)
+
+
+def test_simex_draws_match_brute_force_noise_in_distribution():
+    # n_sim=1 per seed exposes single pseudo-dataset coefficients; the brute
+    # force side adds n independent N(0, lambda * tau2) draws and refits
+    data, spec = base_scenario_dataset(n=20, seed=5)
+    tau2 = ErrorVariance(30.0)
     X = design_matrix(data, spec.exposure, spec.covariates)
     y = data.column(spec.outcome)
-    for i, lam in enumerate(cfg.lambda_grid):
-        if lam == 0.0:
-            assert got[lam] == float(ols_fit(X, y).coefficients[1])
-            continue
-        noise = substream(cfg.seed, i).normal(0.0, np.sqrt(lam * tau2.tau2), (data.n_rows, cfg.n_sim))
-        coefs = []
-        for b in range(cfg.n_sim):
+    n_draws = 2000
+    grid = SimexConfig().lambda_grid
+    drawn = [simex_estimates_per_lambda(data, spec, tau2, SimexConfig(n_sim=1, seed=s))
+             for s in range(n_draws)]
+    rng = np.random.default_rng(2024)
+    for lam in grid[1:]:
+        new = np.array([points[lam] for points in drawn])
+        noise = rng.normal(0.0, np.sqrt(lam * tau2.tau2), (n_draws, data.n_rows))
+        brute = np.empty(n_draws)
+        for b in range(n_draws):
             Xb = X.copy()
-            Xb[:, 1] += noise[:, b]
-            coefs.append(ols_fit(Xb, y).coefficients[1])
-        assert got[lam] == pytest.approx(float(np.mean(coefs)), rel=1e-10)
+            Xb[:, 1] += noise[b]
+            brute[b] = ols_fit(Xb, y).coefficients[1]
+        mcse = np.sqrt((new.var(ddof=1) + brute.var(ddof=1)) / n_draws)
+        assert abs(new.mean() - brute.mean()) < 4.0 * mcse, lam
+        assert stats.ks_2samp(new, brute).pvalue > 0.001, lam
+
+
+def test_simex_with_zero_residual_degrees_of_freedom():
+    # n = p + 1: the residual space holds only the exposure and response directions
+    data, spec = base_scenario_dataset(n=4)
+    X = design_matrix(data, spec.exposure, spec.covariates)
+    assert X.shape[0] == X.shape[1] + 1
+    tau2 = ErrorVariance(30.0)
+    cfg = SimexConfig(seed=8, n_sim=20)
+    result = correct_simex(data, spec, tau2, cfg)
+    assert np.isfinite(result.estimate)
+    expected = per_fit_reference(data, spec, tau2, cfg)
+    for lam, est in result.diagnostics["lambda_estimates"].items():
+        assert est == pytest.approx(expected[lam], rel=1e-10)
 
 
 def test_simex_lambda_map_tracks_attenuation_curve():
@@ -418,7 +495,8 @@ def test_bootstrap_simex_deterministic():
     cfg = SimexConfig(seed=9, n_sim=5)
     first = bootstrap_ci(data, spec, "simex", tau2, cfg, n_boot=50, seed=6)
     second = bootstrap_ci(data, spec, "simex", tau2, cfg, n_boot=50, seed=6)
-    assert first == second
+    pooled = bootstrap_ci(data, spec, "simex", tau2, cfg, n_boot=50, seed=6, threads=2)
+    assert first == second == pooled
 
 
 def test_bootstrap_interval_brackets_truth_on_well_behaved_data():
@@ -451,7 +529,9 @@ def test_bootstrap_warns_on_isolated_failures():
         except BootstrapError:
             continue
         if caught:
-            assert "failed bootstrap replicates" in str(caught[0].message)
+            message = str(caught[0].message)
+            assert "failed bootstrap replicates" in message
+            assert "rc correction" in message and f"tau2={tau2.tau2:g}" in message
             return
     pytest.skip("no fraction produced isolated failures for this seed")
 
