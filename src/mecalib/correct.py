@@ -145,8 +145,9 @@ def estimate_tau2_from_replicates(data: Dataset, spec: AnalysisSpec) -> ErrorVar
             f"need at least 2 replicate columns to estimate tau2, got {spec.n_replicates}"
         )
     replicates = data.columns(spec.exposure_replicates)
-    within_row = replicates.var(axis=1, ddof=1)
-    return ErrorVariance(tau2=float(within_row.mean()), source="replicates")
+    deviations = replicates - replicates.mean(axis=1, keepdims=True)
+    sum_sq = float(np.einsum("ij,ij->", deviations, deviations))
+    return ErrorVariance(sum_sq / (data.n_rows * (spec.n_replicates - 1)), source="replicates")
 
 
 def fit_uncorrected(data: Dataset, spec: AnalysisSpec) -> FitResult:

@@ -119,7 +119,9 @@ class Dataset:
 
     def take_rows(self, indices) -> "Dataset":
         """New Dataset holding the given rows (repeats allowed, order kept)."""
-        return Dataset(self.column_names, self.values[np.asarray(indices, dtype=np.intp)])
+        values = np.take(self.values, np.asarray(indices, dtype=np.intp), axis=0)
+        values.setflags(write=False)  # a fresh array: no defensive copy needed
+        return Dataset(self.column_names, values)
 
 
 def _parse_cell(cell: str, row: int, name: str) -> float:
@@ -195,9 +197,8 @@ def design_matrix(data: Dataset, exposure_col: str | None, covariates=()) -> np.
     which gives the calibration model's [1, covariates...].  Pure
     construction: rank and sample-size checks happen at fit time.
     """
-    covariates = tuple(covariates)
-    blocks = [np.ones(data.n_rows)]
-    if exposure_col is not None:
-        blocks.append(data.column(exposure_col))
-    blocks.extend(data.column(name) for name in covariates)
-    return np.column_stack(blocks)
+    names = ((exposure_col,) if exposure_col is not None else ()) + tuple(covariates)
+    X = np.ones((data.n_rows, 1 + len(names)))
+    for j, name in enumerate(names, start=1):
+        X[:, j] = data.column(name)
+    return X

@@ -1,10 +1,11 @@
-"""Ordinary least squares via singular value decomposition.
+"""Ordinary least squares via one Householder QR (Golub & Van Loan, 5.3).
 
 This is the single fitting engine behind the uncorrected analysis, the
 calibration-model residual variance, and every inner refit of the
-simulation-extrapolation and bootstrap loops.  SVD is used instead of the
-normal equations so that near-collinear designs degrade gracefully into an
-explicit rank error rather than silently unstable coefficients.
+simulation-extrapolation and bootstrap loops.  One QR of [X | y] yields R,
+Q'y and the residual norm; the singular values of R, those of X, are
+checked against a relative tolerance, so near-collinear designs degrade
+into an explicit rank error rather than silently unstable coefficients.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.linalg import lapack
 
 from .errors import InsufficientDataError, SingularDesignError
 
@@ -47,6 +49,13 @@ class FitResult:
             raise ValueError("coefficients and standard_errors must align")
 
 
+def _lapack(routine, *args, **kwargs) -> list:  # outputs without the info code
+    *outputs, info = routine(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} failed with info={info}")
+    return outputs
+
+
 def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     """Least-squares fit of ``y`` on the columns of ``X``.
 
@@ -62,6 +71,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
         largest.
     InsufficientDataError
         If there are no residual degrees of freedom (n <= p).
+    ValueError
+        If X or y holds a NaN or an infinity.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -73,27 +84,34 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     if n <= p:
         raise InsufficientDataError(f"n={n} rows cannot identify p={p} parameters")
 
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    augmented = np.empty((n, p + 1), order="F")
+    augmented[:, :p] = X
+    augmented[:, p] = y
+    qr, _, _ = _lapack(lapack.dgeqrf, augmented, overwrite_a=1)
+    # Top block: R | Q'y above the residual norm, reflectors below the diagonal.
+    top = qr[: p + 1]
+    if not np.isfinite(top).all():  # NaN and inf reach R, Q'y or the norm
+        raise ValueError("X and y must hold finite values only")
+    for j in range(p):
+        top[j + 1 :, j] = 0.0
+    r = top[:p, :p]
+    _, s, _ = _lapack(lapack.dgesdd, r, compute_uv=0)
     if s[0] <= 0.0 or s[-1] < RANK_TOLERANCE * s[0]:
         raise SingularDesignError(
             f"design matrix is rank deficient (singular value ratio "
             f"{s[-1] / s[0] if s[0] > 0 else 0:.3e} < {RANK_TOLERANCE:g})"
         )
-    coef = vt.T @ ((u.T @ y) / s)
-    residuals = y - X @ coef
-    rss = float(residuals @ residuals)
+    (r_inv,) = _lapack(lapack.dtrtri, r)
+    coef = r_inv @ top[:p, p]
+    rss = float(top[p, p]) ** 2
     residual_variance = rss / (n - p)
 
-    centered = y - y.mean()
+    centered = y - y.sum() / n
     tss = float(centered @ centered)
-    if tss > 0.0:
-        r_squared = 1.0 - rss / tss
-    else:
-        r_squared = 1.0 if rss <= 1e-30 else 0.0  # constant response
+    r_squared = 1.0 - rss / tss if tss > 0.0 else float(rss <= 1e-30)  # constant response
 
-    # diag((X'X)^-1) = sum_k V[j,k]^2 / s[k]^2, from X = U S V'.
-    xtx_inv_diag = np.einsum("kj,kj->j", vt / s[:, None], vt / s[:, None])
-    standard_errors = np.sqrt(residual_variance * xtx_inv_diag)
+    # diag((X'X)^-1) = diag(R^-1 R^-T): the row sums of squares of R^-1.
+    standard_errors = np.sqrt(residual_variance * np.einsum("ij,ij->i", r_inv, r_inv))
 
     return FitResult(
         coefficients=coef,

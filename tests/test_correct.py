@@ -24,10 +24,11 @@ from mecalib import (
 from mecalib.correct import extrapolate, simex_estimates_per_lambda
 from mecalib.data import design_matrix
 from mecalib.linreg import ols_fit
-from mecalib import util
+from mecalib import correct, linreg, util
 from mecalib.util import substream
 
 from conftest import base_scenario_dataset, exact_line_dataset
+from test_linreg import svd_ols_fit
 
 
 # --------------------------------------------------------------------------
@@ -72,6 +73,15 @@ def test_tau2_invariances():
     # per-row constant shifts
     shifted, spec2 = make_replicate_data(rows + rng.normal(size=(50, 1)))
     assert estimate_tau2_from_replicates(shifted, spec2).tau2 == pytest.approx(base, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_tau2_matches_row_variance_reference(k):
+    rng = np.random.default_rng(k)
+    rows = rng.normal(120.0, 15.0, size=(400, 1)) + rng.normal(0.0, 5.0, size=(400, k))
+    data, spec = make_replicate_data(rows)
+    reference = data.columns(spec.exposure_replicates).var(axis=1, ddof=1).mean()
+    assert estimate_tau2_from_replicates(data, spec).tau2 == pytest.approx(reference, rel=1e-12)
 
 
 def test_tau2_needs_two_replicates():
@@ -440,7 +450,7 @@ def test_scale_equivariance_general_factor():
 
 def test_bootstrap_degenerate_corrector_collapses_interval():
     # y exactly linear in x: every resample refit recovers the same slope
-    # (up to last-ulp SVD rounding), and tau2=0 keeps the calibration factor 1
+    # (up to last-ulp rounding), and tau2=0 keeps the calibration factor 1
     data = exact_line_dataset(n=30, slope=2.0)
     spec = AnalysisSpec("y", ("x",))
     estimate = correct_rc(data, spec, ErrorVariance(0.0)).estimate
@@ -459,6 +469,18 @@ def test_bootstrap_deterministic_and_thread_invariant():
     second = bootstrap_ci(data, spec, "rc", tau2, **kwargs)
     pooled = bootstrap_ci(data, spec, "rc", tau2, threads=2, **kwargs)
     assert first == second == pooled
+
+
+def test_bootstrap_matches_svd_oracle_fits(monkeypatch):
+    data, spec = base_scenario_dataset(n=200)
+    tau2 = estimate_tau2_from_replicates(data, spec)
+    assert tau2.source == "replicates"
+    kwargs = dict(n_boot=80, seed=19)
+    fast = bootstrap_ci(data, spec, "rc", tau2, **kwargs)
+    monkeypatch.setattr(linreg, "ols_fit", svd_ols_fit)
+    monkeypatch.setattr(correct, "ols_fit", svd_ols_fit)
+    reference = bootstrap_ci(data, spec, "rc", tau2, **kwargs)
+    assert fast == pytest.approx(reference, rel=1e-10)
 
 
 def test_parallel_map_caps_workers_at_cpus_and_jobs(monkeypatch):

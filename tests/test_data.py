@@ -134,6 +134,17 @@ def test_dataset_take_rows_keeps_order_and_repeats():
     assert sub.column("a").tolist() == [3.0, 1.0, 3.0]
 
 
+def test_dataset_take_rows_returns_fresh_read_only_values():
+    values = np.arange(12.0).reshape(4, 3)
+    data = Dataset(("a", "b", "c"), values)
+    idx = np.array([3, 3, 0, 2, 1])
+    sub = data.take_rows(idx)
+    assert np.array_equal(sub.values, values[idx])
+    assert not sub.values.flags.writeable
+    assert not np.shares_memory(sub.values, data.values)
+    assert not np.shares_memory(sub.values, values)
+
+
 def test_analysis_spec_validation():
     with pytest.raises(ValueError, match="at least one"):
         AnalysisSpec("y", ())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,44 @@ from mecalib import (
     SingularDesignError,
     wald_interval,
 )
-from mecalib.linreg import RANK_TOLERANCE, ols_fit, residual_variance_of
+from mecalib.linreg import RANK_TOLERANCE, FitResult, ols_fit, residual_variance_of
 
 from conftest import base_scenario_dataset
+
+
+def svd_ols_fit(X, y):
+    """Reference OLS through a full SVD of X: the oracle for ``ols_fit``.
+
+    Same checks, tolerance and conventions as ``ols_fit``; the coefficients
+    come from X = U S V', the RSS from explicit residuals.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = X.shape
+    if n <= p:
+        raise InsufficientDataError(f"n={n} rows cannot identify p={p} parameters")
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    if s[0] <= 0.0 or s[-1] < RANK_TOLERANCE * s[0]:
+        raise SingularDesignError("design matrix is rank deficient")
+    coef = vt.T @ ((u.T @ y) / s)
+    residuals = y - X @ coef
+    rss = float(residuals @ residuals)
+    residual_variance = rss / (n - p)
+    centered = y - y.mean()
+    tss = float(centered @ centered)
+    if tss > 0.0:
+        r_squared = 1.0 - rss / tss
+    else:
+        r_squared = 1.0 if rss <= 1e-30 else 0.0
+    xtx_inv_diag = np.einsum("kj,kj->j", vt / s[:, None], vt / s[:, None])
+    return FitResult(
+        coefficients=coef,
+        standard_errors=np.sqrt(residual_variance * xtx_inv_diag),
+        residual_variance=residual_variance,
+        r_squared=r_squared,
+        n=n,
+        p=p,
+    )
 
 
 def test_exact_line():
@@ -132,3 +169,61 @@ def test_wald_interval_contains_estimate_and_orders_levels():
     assert lo95 < lo50 < fit.coefficients[1] < hi50 < hi95
     with pytest.raises(ValueError):
         wald_interval(fit, 1, 1.2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("intercept", [True, False])
+def test_matches_svd_oracle(p, intercept):
+    rng = np.random.default_rng(100 * p + intercept)
+    for n in (p + 1, p + 2, 10, 100, 2_000, 20_000):
+        X = rng.normal(50.0, 10.0, size=(n, p))  # offset columns
+        if intercept:
+            X[:, 0] = 1.0
+        y = X @ rng.normal(size=p) + rng.normal(size=n)
+        fit, oracle = ols_fit(X, y), svd_ols_fit(X, y)
+        assert fit.coefficients == pytest.approx(oracle.coefficients, rel=1e-9)
+        assert fit.standard_errors == pytest.approx(oracle.standard_errors, rel=1e-9)
+        assert fit.residual_variance == pytest.approx(oracle.residual_variance, rel=1e-9)
+        assert fit.r_squared == pytest.approx(oracle.r_squared, rel=1e-9)
+        assert (fit.n, fit.p) == (oracle.n, oracle.p)
+
+
+def raises_singular(fit, X, y):
+    try:
+        fit(X, y)
+    except SingularDesignError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("ratio", [1e-9, 2e-10, 1.01e-10, 0.99e-10, 5e-11, 1e-12])
+def test_rank_decision_matches_svd_oracle(ratio):
+    rng = np.random.default_rng(int(-np.log10(ratio) * 100))
+    for n in (6, 50, 2_000):
+        for p in (2, 3, 4):
+            u, _ = np.linalg.qr(rng.normal(size=(n, p)))
+            v, _ = np.linalg.qr(rng.normal(size=(p, p)))
+            s = np.geomspace(1.0, ratio, p) * 10.0 ** rng.uniform(-3, 3)
+            X = (u * s) @ v.T
+            y = rng.normal(size=n)
+            expected = ratio < RANK_TOLERANCE
+            assert raises_singular(svd_ols_fit, X, y) == expected
+            assert raises_singular(ols_fit, X, y) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["X", "y"])
+def test_non_finite_input_raises_value_error(bad, where):
+    rng = np.random.default_rng(3)
+    X = np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
+    y = rng.normal(size=30)
+    for row in (0, 1, 17, 29):
+        X_bad, y_bad = X.copy(), y.copy()
+        if where == "X":
+            X_bad[row, 1 + row % 2] = bad
+        else:
+            y_bad[row] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ValueError, match="finite"):
+                ols_fit(X_bad, y_bad)
