@@ -220,8 +220,11 @@ def _cmd_fit(args, parser) -> int:
 def _cmd_correct(args, parser) -> int:
     data, spec, tau2 = _analysis_inputs(args, parser)
     cfg = _simex_config(args)
-    uncorrected = fit_uncorrected(data, spec)
     result = corrector_for(args.method)(data, spec, tau2, cfg)
+    # The corrector's own naive fit: RC reports it, SIMEX starts its lambda grid there.
+    diagnostics = result.diagnostics
+    uncorrected = (diagnostics["uncorrected_estimate"] if result.method == "rc"
+                   else diagnostics["lambda_estimates"][0.0])
     if args.n_boot:
         lower, upper = bootstrap_ci(
             data, spec, args.method, tau2, cfg,
@@ -230,7 +233,7 @@ def _cmd_correct(args, parser) -> int:
         result = result.with_ci(lower, upper)
 
     rows = [
-        ("uncorrected", _num(uncorrected.coefficients[1], 8), "-", "-"),
+        ("uncorrected", _num(uncorrected, 8), "-", "-"),
         (result.method, _num(result.estimate, 8), _num(result.ci_lower, 8),
          _num(result.ci_upper, 8)),
     ]
@@ -255,7 +258,7 @@ def _cmd_correct(args, parser) -> int:
             "level": args.level if args.n_boot else None,
             "tau2": tau2.tau2,
             "tau2_source": tau2.source,
-            "uncorrected_estimate": float(uncorrected.coefficients[1]),
+            "uncorrected_estimate": uncorrected,
             "diagnostics": dict(result.diagnostics),
             "seed": args.seed,
         }

@@ -167,19 +167,15 @@ def conditional_exposure_variance(data: Dataset, spec: AnalysisSpec) -> float:
     return residual_variance_of(covariates, data.column(spec.exposure))
 
 
-def correct_rc(
-    data: Dataset, spec: AnalysisSpec, tau2: ErrorVariance, cfg: SimexConfig | None = None
-) -> CorrectionResult:
-    """Regression calibration: scale the naive coefficient by V / (V - tau2).
+def _prepare_rc(data: Dataset, spec: AnalysisSpec) -> tuple[float, float]:
+    """Per-dataset part of regression calibration: the naive coefficient and V."""
+    uncorrected = float(fit_uncorrected(data, spec).coefficients[1])
+    return uncorrected, conditional_exposure_variance(data, spec)
 
-    Feasibility requires tau2 < V; otherwise the assumed error variance
-    explains all (or more than) the observed conditional variance of the
-    proxy and no finite correction exists.  ``cfg`` is ignored; it is there
-    so that every corrector has the signature of :func:`corrector_for`.
-    """
-    fit = fit_uncorrected(data, spec)
-    uncorrected = float(fit.coefficients[1])
-    v = conditional_exposure_variance(data, spec)
+
+def _apply_rc(prepared: tuple[float, float], tau2: ErrorVariance, cfg=None) -> CorrectionResult:
+    """Per-tau2 part of regression calibration: the closed-form factor V / (V - tau2)."""
+    uncorrected, v = prepared
     if v <= tau2.tau2:
         raise InfeasibleCorrectionError(
             f"infeasible correction: tau2 ({tau2.tau2:g}) >= "
@@ -198,6 +194,19 @@ def correct_rc(
     )
 
 
+def correct_rc(
+    data: Dataset, spec: AnalysisSpec, tau2: ErrorVariance, cfg: SimexConfig | None = None
+) -> CorrectionResult:
+    """Regression calibration: scale the naive coefficient by V / (V - tau2).
+
+    Feasibility requires tau2 < V; otherwise the assumed error variance
+    explains all (or more than) the observed conditional variance of the
+    proxy and no finite correction exists.  ``cfg`` is ignored; it is there
+    so that every corrector has the signature of :func:`corrector_for`.
+    """
+    return _apply_rc(_prepare_rc(data, spec), tau2)
+
+
 def _residual_moments(X: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Inner products ``(sxx, sxy, syy)`` of the residualized exposure and response.
 
@@ -210,6 +219,38 @@ def _residual_moments(X: np.ndarray, y: np.ndarray) -> tuple[float, float, float
     x_res = X[:, 1] - q @ (q.T @ X[:, 1])
     y_res = y - q @ (q.T @ y)
     return float(x_res @ x_res), float(x_res @ y_res), float(y_res @ y_res)
+
+
+def _prepare_simex(data: Dataset, spec: AnalysisSpec) -> tuple:
+    """Per-dataset part of SIMEX: the naive coefficient, the residual moments, n - p - 1."""
+    X = design_matrix(data, spec.exposure, spec.covariates)
+    y = data.column(spec.outcome)
+    fit = ols_fit(X, y)  # validates rank before any simulation work
+    return float(fit.coefficients[1]), _residual_moments(X, y), X.shape[0] - X.shape[1] - 1
+
+
+def _simulate_lambdas(prepared: tuple, tau2: ErrorVariance, cfg: SimexConfig) -> dict:
+    """Per-tau2 simulation step of SIMEX on a prepared dataset."""
+    uncorrected, (sxx, sxy, syy), rest_df = prepared
+    if tau2.tau2 == 0.0:
+        return {lam: uncorrected for lam in cfg.lambda_grid}
+    # With e1, e2 orthonormal, the residualized exposure is a e1, the response
+    # b e1 + c e2 and the residualized noise sd (z1 e1 + z2 e2 + r), where r
+    # lies in the other n - p - 1 residual dimensions and |r|^2 = sd^2 rest.
+    a = math.sqrt(sxx)
+    b = sxy / a
+    c = math.sqrt(max(syy - b * b, 0.0))
+    estimates = {0.0: uncorrected}
+    for i, lam in enumerate(cfg.lambda_grid[1:], start=1):  # the grid starts at 0
+        rng = substream(cfg.seed, i)
+        sd = math.sqrt(lam * tau2.tau2)
+        z1, z2 = rng.standard_normal((2, cfg.n_sim))
+        rest = rng.chisquare(rest_df, cfg.n_sim) if rest_df > 0 else 0.0
+        coefs = (sxy + sd * (b * z1 + c * z2)) / (
+            sxx + 2.0 * sd * a * z1 + sd * sd * (z1 * z1 + z2 * z2 + rest)
+        )
+        estimates[lam] = float(coefs.mean())
+    return estimates
 
 
 def simex_estimates_per_lambda(
@@ -226,32 +267,7 @@ def simex_estimates_per_lambda(
     and one chi-square per pseudo dataset.  Grid entry i draws from the RNG
     sub-stream (cfg.seed, i), so the result is reproducible bit for bit.
     """
-    X = design_matrix(data, spec.exposure, spec.covariates)
-    y = data.column(spec.outcome)
-    fit = ols_fit(X, y)  # validates rank before any simulation work
-    uncorrected = float(fit.coefficients[1])
-    if tau2.tau2 == 0.0:
-        return {lam: uncorrected for lam in cfg.lambda_grid}
-
-    sxx, sxy, syy = _residual_moments(X, y)
-    # With e1, e2 orthonormal, the residualized exposure is a e1, the response
-    # b e1 + c e2 and the residualized noise sd (z1 e1 + z2 e2 + r), where r
-    # lies in the other n - p - 1 residual dimensions and |r|^2 = sd^2 rest.
-    a = math.sqrt(sxx)
-    b = sxy / a
-    c = math.sqrt(max(syy - b * b, 0.0))
-    rest_df = X.shape[0] - X.shape[1] - 1
-    estimates = {0.0: uncorrected}
-    for i, lam in enumerate(cfg.lambda_grid[1:], start=1):  # the grid starts at 0
-        rng = substream(cfg.seed, i)
-        sd = math.sqrt(lam * tau2.tau2)
-        z1, z2 = rng.standard_normal((2, cfg.n_sim))
-        rest = rng.chisquare(rest_df, cfg.n_sim) if rest_df > 0 else 0.0
-        coefs = (sxy + sd * (b * z1 + c * z2)) / (
-            sxx + 2.0 * sd * a * z1 + sd * sd * (z1 * z1 + z2 * z2 + rest)
-        )
-        estimates[lam] = float(coefs.mean())
-    return estimates
+    return _simulate_lambdas(_prepare_simex(data, spec), tau2, cfg)
 
 
 def extrapolate(points: Mapping[float, float], extrapolant: str = "quadratic"):
@@ -279,11 +295,8 @@ def extrapolate(points: Mapping[float, float], extrapolant: str = "quadratic"):
     return at_minus_one, coefficients
 
 
-def correct_simex(
-    data: Dataset, spec: AnalysisSpec, tau2: ErrorVariance, cfg: SimexConfig
-) -> CorrectionResult:
-    """Full simulation-extrapolation correction (simulate, then extrapolate)."""
-    per_lambda = simex_estimates_per_lambda(data, spec, tau2, cfg)
+def _simex_result(per_lambda: dict, tau2: ErrorVariance, cfg: SimexConfig) -> CorrectionResult:
+    """Extrapolation step of SIMEX and its diagnostics."""
     estimate, coefficients = extrapolate(per_lambda, cfg.extrapolant)
     return CorrectionResult(
         method="simex",
@@ -297,16 +310,34 @@ def correct_simex(
     )
 
 
-def corrector_for(method: str):
-    """The correction function ``(data, spec, tau2, cfg) -> CorrectionResult`` of ``method``.
+def _apply_simex(prepared: tuple, tau2: ErrorVariance, cfg: SimexConfig) -> CorrectionResult:
+    """Per-tau2 part of SIMEX: simulate on the prepared moments, then extrapolate."""
+    return _simex_result(_simulate_lambdas(prepared, tau2, cfg), tau2, cfg)
 
-    The mapping is built on every call from the module's current bindings,
-    so a rebound ``correct_rc`` or ``correct_simex`` is the one returned.
+
+def correct_simex(
+    data: Dataset, spec: AnalysisSpec, tau2: ErrorVariance, cfg: SimexConfig
+) -> CorrectionResult:
+    """Full simulation-extrapolation correction (simulate, then extrapolate)."""
+    return _simex_result(simex_estimates_per_lambda(data, spec, tau2, cfg), tau2, cfg)
+
+
+def correction_steps(method: str) -> tuple:
+    """``(corrector, prepare, apply)`` of ``method``, from the module's current bindings.
+
+    ``corrector(data, spec, tau2, cfg) == apply(prepare(data, spec), tau2, cfg)``:
+    ``prepare`` does the tau2-free fits, ``apply`` the per-tau2 step.
     """
-    correctors = dict(zip(CORRECTION_METHODS, (correct_rc, correct_simex)))
-    if method not in correctors:
+    steps = dict(zip(CORRECTION_METHODS, ((correct_rc, _prepare_rc, _apply_rc),
+                                          (correct_simex, _prepare_simex, _apply_simex))))
+    if method not in steps:
         raise ValueError(f"corrector must be one of {CORRECTION_METHODS}, got {method!r}")
-    return correctors[method]
+    return steps[method]
+
+
+def corrector_for(method: str):
+    """The correction function ``(data, spec, tau2, cfg) -> CorrectionResult`` of ``method``."""
+    return correction_steps(method)[0]
 
 
 def _bootstrap_replicate(

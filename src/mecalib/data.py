@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,12 +140,30 @@ def _parse_cell(cell: str, row: int, name: str) -> float:
     return value
 
 
+def _loadtxt_rows(handle, width: int) -> np.ndarray | None:
+    """The data rows by NumPy's C parser, or None where the per-cell parse must decide."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body warns
+            values = np.loadtxt(handle, delimiter=",", comments=None, quotechar=None,
+                                dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[0] < 1 or values.shape[1] != width or not np.isfinite(values).all():
+        return None
+    values.setflags(write=False)  # a fresh array: no defensive copy needed
+    return values
+
+
 def load_csv(path: str | os.PathLike, spec: AnalysisSpec) -> Dataset:
     """Load a comma-separated file and validate it against ``spec``.
 
     The first line must be a header; every body cell must parse as a finite
     decimal number.  Row numbers in error messages are 1-based over data rows
-    (the header is row 0).
+    (the header is row 0).  NumPy's C parser reads the body; a body it refuses
+    or reads to a non-finite value, the wrong width or no rows is parsed again
+    cell by cell (``csv`` and ``float``), which loads it or names the first bad
+    cell, so both parsers give the same values bit for bit or the same error.
 
     Raises
     ------
@@ -163,18 +182,21 @@ def load_csv(path: str | os.PathLike, spec: AnalysisSpec) -> Dataset:
         if len(set(header)) != len(header):
             dupes = sorted({n for n in header if header.count(n) > 1})
             raise DataError(f"duplicate header names: {', '.join(dupes)}")
-        rows: list[list[float]] = []
-        for i, raw in enumerate(reader, start=1):
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise DataError(
-                    f"row {i} has {len(raw)} cells, header has {len(header)}"
-                )
-            rows.append([_parse_cell(c, i, header[j]) for j, c in enumerate(raw)])
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    data = Dataset(tuple(header), np.asarray(rows, dtype=np.float64))
+        values = _loadtxt_rows(handle, len(header))
+        if values is None:  # parse cell by cell: load the file or name the first bad cell
+            handle.seek(0)
+            next(reader)
+            rows: list[list[float]] = []
+            for i, raw in enumerate(reader, start=1):
+                if not raw:
+                    continue
+                if len(raw) != len(header):
+                    raise DataError(f"row {i} has {len(raw)} cells, header has {len(header)}")
+                rows.append([_parse_cell(c, i, header[j]) for j, c in enumerate(raw)])
+            if not rows:
+                raise DataError(f"{path}: no data rows")
+            values = np.asarray(rows, dtype=np.float64)
+    data = Dataset(tuple(header), values)
     for name in spec.all_columns():
         data.column_index(name)
     return data

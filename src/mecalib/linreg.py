@@ -10,6 +10,7 @@ into an explicit rank error rather than silently unstable coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import InsufficientDataError, SingularDesignError
 
 # Relative singular-value cutoff below which a design counts as rank deficient.
 RANK_TOLERANCE = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,8 @@ class FitResult:
     ``coefficients`` follow the design-matrix column order (intercept first).
     ``residual_variance`` uses the n - p convention, p counting the intercept,
     so an intercept-only fit reproduces the unbiased sample variance.
+    ``r_squared`` is 1 - rss / tss, except for a constant response (tss within
+    the rounding noise n (n eps mean(y))^2): 1 if rss is within that cut, else 0.
     """
 
     coefficients: np.ndarray
@@ -72,7 +76,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     InsufficientDataError
         If there are no residual degrees of freedom (n <= p).
     ValueError
-        If X or y holds a NaN or an infinity.
+        If X or y holds a NaN or an infinity, or a sum of squares overflows.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -91,6 +95,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     # Top block: R | Q'y above the residual norm, reflectors below the diagonal.
     top = qr[: p + 1]
     if not np.isfinite(top).all():  # NaN and inf reach R, Q'y or the norm
+        if np.isfinite(X).all() and np.isfinite(y).all():
+            raise ValueError("a column norm of [X | y] overflows float64; rescale X or y")
         raise ValueError("X and y must hold finite values only")
     for j in range(p):
         top[j + 1 :, j] = 0.0
@@ -103,12 +109,20 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
         )
     (r_inv,) = _lapack(lapack.dtrtri, r)
     coef = r_inv @ top[:p, p]
-    rss = float(top[p, p]) ** 2
+    try:
+        rss = float(top[p, p]) ** 2
+    except OverflowError:  # the residual norm passed about 1e154
+        rss = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        mean = float(y.sum()) / n
+    centered = y - mean
+    tss = float(np.vdot(centered, centered))  # BLAS: overflows to inf without a warning
+    if not (math.isfinite(rss) and math.isfinite(tss)):
+        raise ValueError("sum of squares of y overflows float64; rescale y")
     residual_variance = rss / (n - p)
-
-    centered = y - y.sum() / n
-    tss = float(centered @ centered)
-    r_squared = 1.0 - rss / tss if tss > 0.0 else float(rss <= 1e-30)  # constant response
+    noise = n * _EPS * mean  # rounding error left in each centred y
+    cut = n * noise * noise  # a tss within it: constant y; an rss within it: exact fit
+    r_squared = 1.0 - rss / tss if tss > cut else float(rss <= cut)
 
     # diag((X'X)^-1) = diag(R^-1 R^-T): the row sums of squares of R^-1.
     standard_errors = np.sqrt(residual_variance * np.einsum("ij,ij->i", r_inv, r_inv))

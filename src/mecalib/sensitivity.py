@@ -17,7 +17,7 @@ from statistics import median
 
 import numpy as np
 
-from .correct import ErrorVariance, SimexConfig, bootstrap_ci, corrector_for
+from .correct import ErrorVariance, SimexConfig, bootstrap_ci, correction_steps
 from .data import AnalysisSpec, Dataset
 from .errors import InfeasibleCorrectionError
 from .util import draw_seed, parallel_map, substream, write_csv_rows, write_json
@@ -160,7 +160,8 @@ def _draw_rng(seed: int, index: int):
     return substream(seed, 1, index)
 
 
-def _run_draw(data, spec, method, simex_config, ci, n_boot, level, seed, job) -> SensitivityDraw:
+def _run_draw(data, spec, method, correct, simex_config, ci, n_boot, level, seed, job):
+    """One draw; ``correct`` is the prepared ``(tau2, cfg)`` step of ``method``."""
     index, tau2_value = job
     rng = _draw_rng(seed, index)
     corrector_seed = draw_seed(rng)
@@ -168,7 +169,7 @@ def _run_draw(data, spec, method, simex_config, ci, n_boot, level, seed, job) ->
     error_variance = ErrorVariance(tau2=float(tau2_value), source="external")
     cfg = replace(simex_config, seed=corrector_seed)
     try:
-        result = corrector_for(method)(data, spec, error_variance, cfg)
+        result = correct(error_variance, cfg)
         lower = upper = None
         if ci:
             lower, upper = bootstrap_ci(
@@ -202,15 +203,17 @@ def run_sensitivity(
     recorded with ``status="infeasible"`` and excluded from the summary; if
     every draw is infeasible the analysis raises instead of returning an
     empty summary.  Deterministic given ``seed``, whatever ``threads`` is.
+    The tau2-free fits run once; each draw runs only the per-tau2 step.
     """
-    corrector_for(method)  # rejects an unknown method before any draw
+    _, prepare, apply = correction_steps(method)  # rejects an unknown method first
     if ci is None:
         ci = method == "rc"
     if simex_config is None:
         simex_config = SimexConfig()
 
     tau2_draws = sample_tau2(dist, m, seed)
-    worker = partial(_run_draw, data, spec, method, simex_config, ci, n_boot, level, seed)
+    correct = partial(apply, prepare(data, spec))  # the tau2-free fits, once
+    worker = partial(_run_draw, data, spec, method, correct, simex_config, ci, n_boot, level, seed)
     draws = parallel_map(worker, enumerate(tau2_draws), threads=threads)
 
     ok = [d.estimate for d in draws if d.status == "ok"]

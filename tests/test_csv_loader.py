@@ -1,0 +1,205 @@
+"""Differential tests of load_csv: NumPy's C parser against the per-cell path.
+
+The per-cell path (``csv`` + ``float`` per cell) is the oracle: every file
+must load to the same ``Dataset`` bit for bit, or fail with the same
+``DataError`` text, whichever body parser runs.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from mecalib import AnalysisSpec, DataError, Dataset
+from mecalib import data as data_module
+from mecalib.data import load_csv, write_csv
+
+SPEC = AnalysisSpec("y", ("x",))
+
+
+def outcome(path, monkeypatch, per_cell):
+    """``("ok", names, shape, bytes)`` or ``("error", message)`` for one load."""
+    with monkeypatch.context() as patch:
+        if per_cell:
+            patch.setattr(data_module, "_loadtxt_rows", lambda handle, width: None)
+        try:
+            data = load_csv(path, SPEC)
+        except DataError as exc:
+            return ("error", str(exc))
+    assert not data.values.flags.writeable
+    return ("ok", data.column_names, data.values.shape, data.values.tobytes())
+
+
+def fast_path_used(path, monkeypatch):
+    used = []
+    original = data_module._loadtxt_rows
+
+    def recording(handle, width):
+        values = original(handle, width)
+        used.append(values is not None)
+        return values
+
+    with monkeypatch.context() as patch:
+        patch.setattr(data_module, "_loadtxt_rows", recording)
+        try:
+            load_csv(path, SPEC)
+        except DataError:
+            pass
+    return used == [True]
+
+
+def write_bytes(tmp_path, text, name="data.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+# name -> (file text, whether the C parser takes the body)
+CORPUS = {
+    "crlf": ("y,x\r\n1,2\r\n3,4\r\n", True),
+    "cr_only": ("y,x\r1,2\r3,4\r", True),
+    "blank_lines": ("y,x\n\n1,2\n\n\n3,4\n", True),
+    "crlf_blank_lines": ("y,x\r\n1,2\r\n\r\n3,4\r\n", True),
+    "whitespace_only_line": ("y,x\n1,2\n   \n3,4\n", False),
+    "tab_only_line": ("y,x\n1,2\n\t\n3,4\n", False),
+    "no_final_newline": ("y,x\n1,2\n3,4", True),
+    "space_padding": ("y,x\n 1 ,  2\n3 , 4 \n", True),
+    "tab_padding": ("y,x\n\t1,2\t\n3\t,\t4\n", True),
+    "padded_header": (" y , x \n1,2\n", True),
+    "quoted_cells": ('y,x\n"1","2"\n3,"4.5"\n', False),
+    "quoted_header": ('"y","x"\n1,2\n', True),
+    "quoted_empty": ('y,x\n1,""\n', False),
+    "quoted_comma": ('y,x\n"1,5",2\n', False),
+    "underscore_digits": ("y,x\n1_000,2\n", False),
+    "arabic_indic_digits": ("y,x\n١٢,2\n", False),
+    "fullwidth_digits": ("y,x\n３,2\n", False),
+    "nan": ("y,x\n1,nan\n", False),
+    "inf": ("y,x\ninf,2\n", False),
+    "minus_infinity": ("y,x\n1,-Infinity\n", False),
+    "overflow": ("y,x\n1e999,2\n", False),
+    "nan_after_bad_row": ("y,x\n1,2\n1,x\n1,nan\n", False),
+    "exponents": ("y,x\n1e5,-2.5E-3\n+3e+2,.5\n5.,1E0\n", True),
+    "subnormals": ("y,x\n4.9e-324,2.2250738585072014e-308\n1e-310,-5e-324\n", True),
+    "underflow_to_zero": ("y,x\n1e-400,2\n", True),
+    "negative_zero": ("y,x\n-0,-0.0\n0,2\n", True),
+    "leading_zeros": ("y,x\n007,00.50\n", True),
+    "long_mantissa": ("y,x\n0.1000000000000000055511151231257827,2\n", True),
+    "hex": ("y,x\n0x10,2\n", False),
+    "nbsp_padding": ("y,x\n 1,2 \n", True),
+    "form_feed_padding": ("y,x\n1\x0c,\x0b2\n", True),
+    "empty_cell": ("y,x\n1,\n", False),
+    "space_cell": ("y,x\n1, \n", False),
+    "trailing_comma": ("y,x\n1,2,\n", False),
+    "trailing_comma_header": ("y,x,\n1,2,\n", False),
+    "ragged_short": ("y,x\n1,2\n3\n", False),
+    "ragged_long": ("y,x\n1,2\n3,4,5\n", False),
+    "all_rows_short": ("y,x\n1\n3\n", False),
+    "header_only": ("y,x\n", False),
+    "header_only_blank_body": ("y,x\n\n\n", False),
+    "header_no_newline": ("y,x", False),
+    "empty_file": ("", False),
+    "one_column": ("y\n1\n2\n", True),
+    "one_column_header_only": ("y\n", False),
+    "one_column_blank_lines": ("y\n\n\n", False),
+    "one_column_whitespace_line": ("y\n1\n \n", False),
+    "duplicate_header": ("y,x,y\n1,2,3\n", False),
+    "missing_spec_column": ("y,z\n1,2\n", True),
+    "comment_line": ("y,x\n# note\n1,2\n", False),
+    "hash_in_cell": ("y,x\n1,2#3\n", False),
+    "single_row": ("y,x\n1,2\n", True),
+    "extra_columns": ("y,x,age\n1,2,30\n4,5,31\n", True),
+    "nul_byte": ("y,x\n1\x00,2\n", False),
+    "embedded_space": ("y,x\n1 2,3\n", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_matches_per_cell_path(name, tmp_path, monkeypatch):
+    text, fast = CORPUS[name]
+    path = write_bytes(tmp_path, text)
+    assert outcome(path, monkeypatch, False) == outcome(path, monkeypatch, True)
+    assert fast_path_used(path, monkeypatch) == fast
+
+
+def test_corpus_error_messages_are_the_per_cell_ones(tmp_path, monkeypatch):
+    cases = {
+        "nan_after_bad_row": "cannot parse 'x' as a number in row 2, column 'x'",
+        "whitespace_only_line": "row 2 has 1 cells, header has 2",
+        "trailing_comma": "row 1 has 3 cells, header has 2",
+        "trailing_comma_header": "empty cell in row 1, column ''",
+        "overflow": "non-finite value '1e999' in row 1, column 'y'",
+        "header_only": "no data rows",
+        "missing_spec_column": "column not found: 'x'",
+    }
+    for name, message in cases.items():
+        path = write_bytes(tmp_path, CORPUS[name][0], f"{name}.csv")
+        kind, text = outcome(path, monkeypatch, False)
+        assert kind == "error" and message in text, (name, text)
+
+
+def test_fast_values_are_the_float_of_each_cell(tmp_path, monkeypatch):
+    text, _ = CORPUS["subnormals"]
+    path = write_bytes(tmp_path, text)
+    data = load_csv(path, SPEC)
+    cells = [line.split(",") for line in text.splitlines()[1:]]
+    assert data.values.tobytes() == np.array(
+        [[float(c) for c in row] for row in cells]).tobytes()
+    assert fast_path_used(path, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_write_csv_round_trip_is_bit_exact(seed, tmp_path, monkeypatch):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-300, 300, size=(200, 3))
+    values[0] = [-0.0, 5e-324, np.finfo(np.float64).max]
+    values[1] = [np.finfo(np.float64).tiny, -1e-310, 0.1]
+    original = Dataset(("y", "x", "age"), values)
+    path = tmp_path / "round_trip.csv"
+    write_csv(original, path)
+    loaded = load_csv(path, SPEC)
+    assert loaded.column_names == original.column_names
+    assert loaded.values.tobytes() == original.values.tobytes()
+    assert fast_path_used(path, monkeypatch)
+    assert outcome(path, monkeypatch, True)[3] == original.values.tobytes()
+
+
+NUMBERS = ["1", "2.5", "-3e2", "0.1", "-0", "1e-310", "4.9e-324", "1.7976931348623157e308"]
+ODD_CELLS = [
+    "", " ", "\t", '"3"', '"', "x", "nan", "inf", "-inf", "1e999", "1_000", "١",
+    "+1", ".5", "5.", "0x1", " 7 ", "\t8\t", " 9", "\x0c", "#", "1e", "NaN",
+    "Infinity", "-", "00012", "1E+03", "1 2", ",", "\x00",
+]
+
+
+def random_file(rng: random.Random) -> str:
+    header = rng.choice(["y,x", "y,x", "y,x,age", "x,y", " y , x ", "y,x,y", "y,x,"])
+    width = header.count(",") + 1
+    lines = []
+    for _ in range(rng.randint(0, 6)):
+        roll = rng.random()
+        if roll < 0.7:
+            cells = [rng.choice(NUMBERS) for _ in range(width)]
+            if rng.random() < 0.15:
+                cells[rng.randrange(width)] = rng.choice(ODD_CELLS) + rng.choice(
+                    ["", "", rng.choice(ODD_CELLS)])
+            if rng.random() < 0.05:
+                cells = cells[: rng.randrange(width)] if rng.random() < 0.5 else cells + ["1"]
+            lines.append(",".join(cells))
+        elif roll < 0.9:
+            lines.append(rng.choice(["", "", "", " ", "\t"]))
+        else:
+            lines.append("".join(rng.choice(ODD_CELLS + NUMBERS) for _ in range(rng.randint(1, 4))))
+    eol = rng.choice(["\n", "\r\n", "\r"])
+    return header + eol + eol.join(lines) + rng.choice(["", eol])
+
+
+def test_random_files_match_per_cell_path(tmp_path, monkeypatch):
+    rng = random.Random(20261018)
+    kinds = {"ok": 0, "error": 0}
+    for i in range(300):
+        path = write_bytes(tmp_path, random_file(rng), f"random_{i}.csv")
+        fast = outcome(path, monkeypatch, False)
+        assert fast == outcome(path, monkeypatch, True), path.read_bytes()
+        kinds[fast[0]] += 1
+    # the corpus exercises both outcomes, not only one of them
+    assert kinds["ok"] >= 60 and kinds["error"] >= 60, kinds

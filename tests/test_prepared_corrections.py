@@ -1,0 +1,148 @@
+"""The sensitivity analysis fits once per dataset and matches fresh corrections.
+
+``run_sensitivity`` prepares the tau2-free part of a corrector once and runs
+only the per-tau2 step per draw; every draw must equal a fresh full
+correction at its tau2 bit for bit, or be infeasible where that call raises.
+"""
+
+import json
+from dataclasses import replace
+
+import pytest
+
+import mecalib.correct as correct
+import mecalib.linreg as linreg
+from mecalib import (
+    ErrorVariance,
+    ErrorVarianceDistribution,
+    InfeasibleCorrectionError,
+    SimexConfig,
+    cli,
+    conditional_exposure_variance,
+    fit_uncorrected,
+    run_sensitivity,
+)
+from mecalib.correct import correction_steps, corrector_for
+from mecalib.data import write_csv
+from mecalib.sensitivity import _draw_rng
+from mecalib.util import draw_seed
+
+from conftest import base_scenario_dataset
+
+
+def fresh_draws(data, spec, method, result, simex_config, seed):
+    """Per draw: a fresh full correction at its tau2, or None where it is infeasible."""
+    expected = []
+    for index, draw in enumerate(result.draws):
+        cfg = replace(simex_config, seed=draw_seed(_draw_rng(seed, index)))
+        try:
+            fresh = corrector_for(method)(data, spec, ErrorVariance(draw.tau2), cfg)
+        except InfeasibleCorrectionError:
+            expected.append(None)
+        else:
+            expected.append(fresh.estimate)
+    return expected
+
+
+@pytest.mark.parametrize("method, m, simex_config", [
+    ("rc", 40, SimexConfig()),
+    ("simex", 8, SimexConfig(n_sim=20)),
+])
+def test_every_draw_equals_a_fresh_correction(method, m, simex_config):
+    data, spec = base_scenario_dataset(n=300)
+    v = conditional_exposure_variance(data, spec)
+    dist = ErrorVarianceDistribution("uniform", max(v - 8.0, 0.0), v + 4.0)
+    result = run_sensitivity(
+        data, spec, dist, method, m=m, ci=False, simex_config=simex_config, seed=11
+    )
+    expected = fresh_draws(data, spec, method, result, simex_config, 11)
+    for draw, estimate in zip(result.draws, expected):
+        if estimate is None:
+            assert draw.status == "infeasible" and draw.estimate is None
+        else:
+            assert draw.status == "ok" and draw.estimate == estimate
+    if method == "rc":
+        assert {d.status for d in result.draws} == {"ok", "infeasible"}
+
+
+@pytest.mark.parametrize("method, ci", [("rc", True), ("simex", False)])
+def test_threads_do_not_change_draws(method, ci):
+    data, spec = base_scenario_dataset(n=200)
+    dist = ErrorVarianceDistribution("triangular", 10.0, 40.0, mode=20.0)
+    kwargs = dict(m=12, ci=ci, n_boot=50, simex_config=SimexConfig(n_sim=10), seed=5)
+    serial = run_sensitivity(data, spec, dist, method, **kwargs)
+    pooled = run_sensitivity(data, spec, dist, method, threads=2, **kwargs)
+    assert pooled == serial
+
+
+def counting(monkeypatch, module, name, calls=None):
+    """Wrap ``module.name`` so each call appends to ``calls``; returns ``calls``."""
+    calls = [] if calls is None else calls
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["rc", "simex"])
+def test_one_preparation_per_analysis(method, monkeypatch):
+    data, spec = base_scenario_dataset(n=200)
+    prepared = counting(monkeypatch, correct, f"_prepare_{method}")
+    full = counting(monkeypatch, correct, f"correct_{method}")
+    dist = ErrorVarianceDistribution("uniform", 5.0, 15.0)
+    run_sensitivity(data, spec, dist, method, m=15, ci=False,
+                    simex_config=SimexConfig(n_sim=5), seed=3)
+    assert len(prepared) == 1 and full == []
+
+
+def test_bootstrap_intervals_still_run_the_full_corrector(monkeypatch):
+    data, spec = base_scenario_dataset(n=200)
+    full = counting(monkeypatch, correct, "correct_rc")
+    dist = ErrorVarianceDistribution("uniform", 5.0, 15.0)
+    result = run_sensitivity(data, spec, dist, "rc", m=3, ci=True, n_boot=50, seed=3)
+    assert result.summary["n_ok"] == 3
+    assert len(full) == 3 * 50
+
+
+@pytest.mark.parametrize("method", ["rc", "simex"])
+def test_prepared_step_equals_corrector(method):
+    data, spec = base_scenario_dataset(n=150)
+    corrector, prepare, apply = correction_steps(method)
+    assert corrector is corrector_for(method)
+    prepared = prepare(data, spec)
+    for tau2 in (0.0, 12.5, 30.0):
+        cfg = SimexConfig(n_sim=15, seed=int(tau2) + 1)
+        fresh = corrector(data, spec, ErrorVariance(tau2), cfg)
+        assert apply(prepared, ErrorVariance(tau2), cfg) == fresh
+
+
+def test_correction_steps_reject_unknown_method():
+    with pytest.raises(ValueError, match="corrector must be one of"):
+        correction_steps("naive")
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("rc", ["--replicates", "bp_star_1,bp_star_2,bp_star_3"]),
+    ("simex", ["--exposure", "bp_star_1", "--tau2", "30", "--n-sim", "10"]),
+])
+def test_correct_reports_the_correctors_own_uncorrected_fit(method, flags, tmp_path,
+                                                            monkeypatch, capsys):
+    data, spec = base_scenario_dataset(n=150)
+    path = tmp_path / "study.csv"
+    write_csv(data, path)
+    out = tmp_path / "correct.json"
+    expected = float(fit_uncorrected(data, spec).coefficients[1])
+    fits = counting(monkeypatch, linreg, "ols_fit")
+    counting(monkeypatch, correct, "ols_fit", fits)
+    code = cli.main(["correct", "--input", str(path), "--outcome", "creatinine",
+                     "--covariates", "age", "--method", method, *flags, "--n-boot", "0",
+                     "--output", str(out)])
+    assert code == 0
+    assert len(fits) == (2 if method == "rc" else 1)  # no separate naive fit
+    with open(out) as handle:
+        assert json.load(handle)["uncorrected_estimate"] == expected
+    assert f"uncorrected  {expected:.8g}" in capsys.readouterr().out

@@ -266,7 +266,8 @@ def test_emit_plot_data_shape_and_sort(tmp_path):
     tau2s = [float(r["tau2"]) for r in rows]
     assert tau2s == sorted(tau2s)
     assert list(rows[0]) == ["tau2", "estimate", "ci_lower", "ci_upper", "status"]
-    sidecar = json.loads(open(json_path).read())
+    with open(json_path) as handle:
+        sidecar = json.loads(handle.read())
     assert sidecar["method"] == "rc"
     assert sidecar["m"] == 3
     assert sidecar["distribution"]["kind"] == "triangular"
@@ -286,7 +287,8 @@ def test_emit_plot_data_round_trip_median(tmp_path):
     with open(csv_path, newline="") as handle:
         rows = list(csv.DictReader(handle))
     estimates = [float(r["estimate"]) for r in rows if r["status"] == "ok"]
-    sidecar = json.loads(open(json_path).read())
+    with open(json_path) as handle:
+        sidecar = json.loads(handle.read())
     assert float(median(estimates)) == sidecar["summary"]["median"]
 
 
