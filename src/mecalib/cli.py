@@ -23,7 +23,7 @@ from .correct import (
     ErrorVariance,
     SimexConfig,
     bootstrap_ci,
-    corrector_for,
+    correction_steps,
     estimate_tau2_from_replicates,
     fit_uncorrected,
 )
@@ -220,11 +220,10 @@ def _cmd_fit(args, parser) -> int:
 def _cmd_correct(args, parser) -> int:
     data, spec, tau2 = _analysis_inputs(args, parser)
     cfg = _simex_config(args)
-    result = corrector_for(args.method)(data, spec, tau2, cfg)
-    # The corrector's own naive fit: RC reports it, SIMEX starts its lambda grid there.
-    diagnostics = result.diagnostics
-    uncorrected = (diagnostics["uncorrected_estimate"] if result.method == "rc"
-                   else diagnostics["lambda_estimates"][0.0])
+    _, prepare, apply = correction_steps(args.method)
+    prepared = prepare(data, spec)  # the corrector's own naive fit, reported as uncorrected
+    result = apply(prepared, tau2, cfg)
+    uncorrected = float(prepared[0].coefficients[1])
     if args.n_boot:
         lower, upper = bootstrap_ci(
             data, spec, args.method, tau2, cfg,

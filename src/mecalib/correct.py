@@ -167,15 +167,16 @@ def conditional_exposure_variance(data: Dataset, spec: AnalysisSpec) -> float:
     return residual_variance_of(covariates, data.column(spec.exposure))
 
 
-def _prepare_rc(data: Dataset, spec: AnalysisSpec) -> tuple[float, float]:
-    """Per-dataset part of regression calibration: the naive coefficient and V."""
-    uncorrected = float(fit_uncorrected(data, spec).coefficients[1])
-    return uncorrected, conditional_exposure_variance(data, spec)
+def prepare_correction(data: Dataset, spec: AnalysisSpec) -> tuple[FitResult, float]:
+    """The tau2-free part of every correction: the naive fit and V."""
+    return fit_uncorrected(data, spec), conditional_exposure_variance(data, spec)
 
 
-def _apply_rc(prepared: tuple[float, float], tau2: ErrorVariance, cfg=None) -> CorrectionResult:
+def _apply_rc(prepared: tuple[FitResult, float], tau2: ErrorVariance,
+              cfg=None) -> CorrectionResult:
     """Per-tau2 part of regression calibration: the closed-form factor V / (V - tau2)."""
-    uncorrected, v = prepared
+    fit, v = prepared
+    uncorrected = float(fit.coefficients[1])
     if v <= tau2.tau2:
         raise InfeasibleCorrectionError(
             f"infeasible correction: tau2 ({tau2.tau2:g}) >= "
@@ -204,50 +205,34 @@ def correct_rc(
     proxy and no finite correction exists.  ``cfg`` is ignored; it is there
     so that every corrector has the signature of :func:`corrector_for`.
     """
-    return _apply_rc(_prepare_rc(data, spec), tau2)
+    return _apply_rc(prepare_correction(data, spec), tau2)
 
 
-def _residual_moments(X: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Inner products ``(sxx, sxy, syy)`` of the residualized exposure and response.
-
-    Both are residualized on the non-exposure design columns by QR, which
-    reduces every exposure-perturbed OLS refit to a one-dimensional regression
-    (the classic partialling-out identity).
-    """
-    others = np.delete(X, 1, axis=1)
-    q, _ = np.linalg.qr(others)
-    x_res = X[:, 1] - q @ (q.T @ X[:, 1])
-    y_res = y - q @ (q.T @ y)
-    return float(x_res @ x_res), float(x_res @ y_res), float(y_res @ y_res)
-
-
-def _prepare_simex(data: Dataset, spec: AnalysisSpec) -> tuple:
-    """Per-dataset part of SIMEX: the naive coefficient, the residual moments, n - p - 1."""
-    X = design_matrix(data, spec.exposure, spec.covariates)
-    y = data.column(spec.outcome)
-    fit = ols_fit(X, y)  # validates rank before any simulation work
-    return float(fit.coefficients[1]), _residual_moments(X, y), X.shape[0] - X.shape[1] - 1
-
-
-def _simulate_lambdas(prepared: tuple, tau2: ErrorVariance, cfg: SimexConfig) -> dict:
+def _simulate_lambdas(prepared: tuple[FitResult, float], tau2: ErrorVariance,
+                      cfg: SimexConfig) -> dict:
     """Per-tau2 simulation step of SIMEX on a prepared dataset."""
-    uncorrected, (sxx, sxy, syy), rest_df = prepared
+    fit, v = prepared
+    uncorrected = float(fit.coefficients[1])
     if tau2.tau2 == 0.0:
         return {lam: uncorrected for lam in cfg.lambda_grid}
-    # With e1, e2 orthonormal, the residualized exposure is a e1, the response
-    # b e1 + c e2 and the residualized noise sd (z1 e1 + z2 e2 + r), where r
-    # lies in the other n - p - 1 residual dimensions and |r|^2 = sd^2 rest.
-    a = math.sqrt(sxx)
-    b = sxy / a
-    c = math.sqrt(max(syy - b * b, 0.0))
+    # Residualized on the other design columns (Frisch-Waugh-Lovell), the
+    # exposure is a e1 and the response b e1 + c e2 with e1, e2 orthonormal:
+    # a^2 = V (df + 1) from the calibration fit, b = slope a, and c^2 is the
+    # naive RSS.  The residualized noise is sd (z1 e1 + z2 e2 + r), where r
+    # lies in the other df - 1 residual dimensions and |r|^2 = sd^2 rest.
+    df = fit.n - fit.p
+    a = math.sqrt(v * (df + 1))
+    b = uncorrected * a
+    c = math.sqrt(fit.residual_variance * df)
+    rest_df = df - 1
     estimates = {0.0: uncorrected}
     for i, lam in enumerate(cfg.lambda_grid[1:], start=1):  # the grid starts at 0
         rng = substream(cfg.seed, i)
         sd = math.sqrt(lam * tau2.tau2)
         z1, z2 = rng.standard_normal((2, cfg.n_sim))
         rest = rng.chisquare(rest_df, cfg.n_sim) if rest_df > 0 else 0.0
-        coefs = (sxy + sd * (b * z1 + c * z2)) / (
-            sxx + 2.0 * sd * a * z1 + sd * sd * (z1 * z1 + z2 * z2 + rest)
+        coefs = (a * b + sd * (b * z1 + c * z2)) / (
+            a * a + 2.0 * sd * a * z1 + sd * sd * (z1 * z1 + z2 * z2 + rest)
         )
         estimates[lam] = float(coefs.mean())
     return estimates
@@ -267,7 +252,7 @@ def simex_estimates_per_lambda(
     and one chi-square per pseudo dataset.  Grid entry i draws from the RNG
     sub-stream (cfg.seed, i), so the result is reproducible bit for bit.
     """
-    return _simulate_lambdas(_prepare_simex(data, spec), tau2, cfg)
+    return _simulate_lambdas(prepare_correction(data, spec), tau2, cfg)
 
 
 def extrapolate(points: Mapping[float, float], extrapolant: str = "quadratic"):
@@ -310,8 +295,9 @@ def _simex_result(per_lambda: dict, tau2: ErrorVariance, cfg: SimexConfig) -> Co
     )
 
 
-def _apply_simex(prepared: tuple, tau2: ErrorVariance, cfg: SimexConfig) -> CorrectionResult:
-    """Per-tau2 part of SIMEX: simulate on the prepared moments, then extrapolate."""
+def _apply_simex(prepared: tuple[FitResult, float], tau2: ErrorVariance,
+                 cfg: SimexConfig) -> CorrectionResult:
+    """Per-tau2 part of SIMEX: simulate on the prepared fit and V, then extrapolate."""
     return _simex_result(_simulate_lambdas(prepared, tau2, cfg), tau2, cfg)
 
 
@@ -326,13 +312,14 @@ def correction_steps(method: str) -> tuple:
     """``(corrector, prepare, apply)`` of ``method``, from the module's current bindings.
 
     ``corrector(data, spec, tau2, cfg) == apply(prepare(data, spec), tau2, cfg)``:
-    ``prepare`` does the tau2-free fits, ``apply`` the per-tau2 step.
+    ``prepare`` is :func:`prepare_correction` for every method, ``apply`` the
+    per-tau2 step.
     """
-    steps = dict(zip(CORRECTION_METHODS, ((correct_rc, _prepare_rc, _apply_rc),
-                                          (correct_simex, _prepare_simex, _apply_simex))))
+    steps = dict(zip(CORRECTION_METHODS, ((correct_rc, _apply_rc), (correct_simex, _apply_simex))))
     if method not in steps:
         raise ValueError(f"corrector must be one of {CORRECTION_METHODS}, got {method!r}")
-    return steps[method]
+    corrector, apply = steps[method]
+    return corrector, prepare_correction, apply
 
 
 def corrector_for(method: str):

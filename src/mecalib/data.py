@@ -171,31 +171,34 @@ def load_csv(path: str | os.PathLike, spec: AnalysisSpec) -> Dataset:
         If ``path`` does not exist.
     DataError
         Duplicate or missing header names, ragged rows, empty or
-        non-numeric cells.
+        non-numeric cells, or a field the csv module refuses.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        if len(set(header)) != len(header):
-            dupes = sorted({n for n in header if header.count(n) > 1})
-            raise DataError(f"duplicate header names: {', '.join(dupes)}")
-        values = _loadtxt_rows(handle, len(header))
-        if values is None:  # parse cell by cell: load the file or name the first bad cell
-            handle.seek(0)
-            next(reader)
-            rows: list[list[float]] = []
-            for i, raw in enumerate(reader, start=1):
-                if not raw:
-                    continue
-                if len(raw) != len(header):
-                    raise DataError(f"row {i} has {len(raw)} cells, header has {len(header)}")
-                rows.append([_parse_cell(c, i, header[j]) for j, c in enumerate(raw)])
-            if not rows:
-                raise DataError(f"{path}: no data rows")
-            values = np.asarray(rows, dtype=np.float64)
+            try:
+                header = [name.strip() for name in next(reader)]
+            except StopIteration:
+                raise DataError(f"{path}: file is empty") from None
+            if len(set(header)) != len(header):
+                dupes = sorted({n for n in header if header.count(n) > 1})
+                raise DataError(f"duplicate header names: {', '.join(dupes)}")
+            values = _loadtxt_rows(handle, len(header))
+            if values is None:  # parse cell by cell: load the file or name the first bad cell
+                handle.seek(0)
+                next(reader)
+                rows: list[list[float]] = []
+                for i, raw in enumerate(reader, start=1):
+                    if not raw:
+                        continue
+                    if len(raw) != len(header):
+                        raise DataError(f"row {i} has {len(raw)} cells, header has {len(header)}")
+                    rows.append([_parse_cell(c, i, header[j]) for j, c in enumerate(raw)])
+                if not rows:
+                    raise DataError(f"{path}: no data rows")
+                values = np.asarray(rows, dtype=np.float64)
+        except csv.Error as exc:  # a field over the csv module's size limit, say
+            raise DataError(f"{path}: {exc}") from None
     data = Dataset(tuple(header), values)
     for name in spec.all_columns():
         data.column_index(name)

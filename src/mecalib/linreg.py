@@ -76,7 +76,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     InsufficientDataError
         If there are no residual degrees of freedom (n <= p).
     ValueError
-        If X or y holds a NaN or an infinity, or a sum of squares overflows.
+        If X or y holds a NaN or an infinity, or a sum of squares, a
+        coefficient or a standard error overflows.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -108,24 +109,25 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
             f"{s[-1] / s[0] if s[0] > 0 else 0:.3e} < {RANK_TOLERANCE:g})"
         )
     (r_inv,) = _lapack(lapack.dtrtri, r)
-    coef = r_inv @ top[:p, p]
     try:
         rss = float(top[p, p]) ** 2
     except OverflowError:  # the residual norm passed about 1e154
         rss = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+    residual_variance = rss / (n - p)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are reported below
         mean = float(y.sum()) / n
+        coef = r_inv @ top[:p, p]
+        # diag((X'X)^-1) = diag(R^-1 R^-T): the row sums of squares of R^-1.
+        standard_errors = np.sqrt(residual_variance * np.einsum("ij,ij->i", r_inv, r_inv))
     centered = y - mean
     tss = float(np.vdot(centered, centered))  # BLAS: overflows to inf without a warning
     if not (math.isfinite(rss) and math.isfinite(tss)):
         raise ValueError("sum of squares of y overflows float64; rescale y")
-    residual_variance = rss / (n - p)
+    if not all(map(math.isfinite, coef.tolist() + standard_errors.tolist())):  # p is small
+        raise ValueError("a coefficient or standard error overflows float64; rescale X or y")
     noise = n * _EPS * mean  # rounding error left in each centred y
     cut = n * noise * noise  # a tss within it: constant y; an rss within it: exact fit
     r_squared = 1.0 - rss / tss if tss > cut else float(rss <= cut)
-
-    # diag((X'X)^-1) = diag(R^-1 R^-T): the row sums of squares of R^-1.
-    standard_errors = np.sqrt(residual_variance * np.einsum("ij,ij->i", r_inv, r_inv))
 
     return FitResult(
         coefficients=coef,

@@ -32,9 +32,9 @@ from .correct import (
     CORRECTION_METHODS,
     SimexConfig,
     bootstrap_ci,
-    corrector_for,
+    correction_steps,
     estimate_tau2_from_replicates,
-    fit_uncorrected,
+    prepare_correction,
 )
 from .data import AnalysisSpec, Dataset
 from .errors import (
@@ -200,16 +200,23 @@ def _run_repetition(args):
     cfg_rep = replace(simex_config, seed=draw_seed(rng))
     boot_seeds = {method: draw_seed(rng) for method in CORRECTION_METHODS}
 
+    try:
+        prepared = prepare_correction(data, spec)  # the naive fit and V, shared by all
+    except SingularDesignError:
+        if "uncorrected" in methods:
+            raise
+        return dict.fromkeys(methods)  # every selected correction fails on this dataset
     out = {}
     if "uncorrected" in methods:
-        fit = fit_uncorrected(data, spec)
+        fit = prepared[0]
         lower, upper = wald_interval(fit, index=1, level=level)
         out["uncorrected"] = (float(fit.coefficients[1]), lower, upper)
     for method in CORRECTION_METHODS:
         if method not in methods:
             continue
+        apply = correction_steps(method)[2]
         try:
-            estimate = corrector_for(method)(data, spec, tau2, cfg_rep).estimate
+            estimate = apply(prepared, tau2, cfg_rep).estimate
             lower = upper = np.nan
             if n_boot:
                 lower, upper = bootstrap_ci(

@@ -258,6 +258,22 @@ def test_simex_lambda_map_matches_per_fit_reference():
         assert got[lam] == pytest.approx(expected[lam], rel=1e-10)
 
 
+@pytest.mark.parametrize("covariates", [(), ("age", "z1", "z2")])
+def test_simex_lambda_map_matches_per_fit_reference_across_covariate_sets(covariates):
+    # the moments come from the naive and calibration fits for any covariate set
+    base, spec = base_scenario_dataset(n=150, seed=4)
+    extra = np.random.default_rng(9).normal(0.0, 3.0, (base.n_rows, 2))
+    data = Dataset(base.column_names + ("z1", "z2"), np.column_stack([base.values, extra]))
+    spec = AnalysisSpec(spec.outcome, spec.exposure_replicates, covariates)
+    tau2 = estimate_tau2_from_replicates(data, spec)
+    cfg = SimexConfig(seed=23, n_sim=15)
+    got = simex_estimates_per_lambda(data, spec, tau2, cfg)
+    expected = per_fit_reference(data, spec, tau2, cfg)
+    assert got[0.0] == expected[0.0]
+    for lam in cfg.lambda_grid[1:]:
+        assert got[lam] == pytest.approx(expected[lam], rel=1e-10)
+
+
 def test_simex_draws_match_brute_force_noise_in_distribution():
     # n_sim=1 per seed exposes single pseudo-dataset coefficients; the brute
     # force side adds n independent N(0, lambda * tau2) draws and refits

@@ -6,6 +6,8 @@ must load to the same ``Dataset`` bit for bit, or fail with the same
 """
 
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -203,3 +205,31 @@ def test_random_files_match_per_cell_path(tmp_path, monkeypatch):
         kinds[fast[0]] += 1
     # the corpus exercises both outcomes, not only one of them
     assert kinds["ok"] >= 60 and kinds["error"] >= 60, kinds
+
+
+# The csv module refuses a field over 131,072 characters.
+LONG_FIELDS = {
+    "header": "y,x," + "a" * 200_000 + "\n1,2,3\n",
+    "body_cell": "y,x,z\n1,2,3\n4,5," + "1" * 200_001 + "\n",  # read on the per-cell path
+}
+
+
+@pytest.mark.parametrize("where", sorted(LONG_FIELDS))
+def test_field_over_the_csv_limit_is_a_data_error(where, tmp_path):
+    path = write_bytes(tmp_path, LONG_FIELDS[where])
+    with pytest.raises(DataError, match="field limit") as info:
+        load_csv(path, SPEC)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("where", sorted(LONG_FIELDS))
+def test_field_over_the_csv_limit_exits_1_without_traceback(where, tmp_path):
+    path = write_bytes(tmp_path, LONG_FIELDS[where])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mecalib.cli", "fit", "--input", str(path),
+         "--outcome", "y", "--exposure", "x"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "field limit" in proc.stderr and str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr

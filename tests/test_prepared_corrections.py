@@ -1,31 +1,46 @@
-"""The sensitivity analysis fits once per dataset and matches fresh corrections.
+"""Every analysis fits once per dataset and matches fresh corrections.
 
 ``run_sensitivity`` prepares the tau2-free part of a corrector once and runs
 only the per-tau2 step per draw; every draw must equal a fresh full
 correction at its tau2 bit for bit, or be infeasible where that call raises.
+A simulation repetition shares one preparation between the uncorrected,
+RC and SIMEX analyses and must equal separate calls to each of them.
 """
 
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import mecalib.correct as correct
 import mecalib.linreg as linreg
+import mecalib.simstudy as simstudy
 from mecalib import (
+    BootstrapError,
+    Dataset,
     ErrorVariance,
     ErrorVarianceDistribution,
     InfeasibleCorrectionError,
     SimexConfig,
+    SingularDesignError,
+    bootstrap_ci,
     cli,
     conditional_exposure_variance,
+    correct_rc,
+    correct_simex,
+    estimate_tau2_from_replicates,
     fit_uncorrected,
+    generate_dataset,
     run_sensitivity,
+    scenario_spec,
+    wald_interval,
 )
 from mecalib.correct import correction_steps, corrector_for
 from mecalib.data import write_csv
 from mecalib.sensitivity import _draw_rng
-from mecalib.util import draw_seed
+from mecalib.simstudy import METHODS, _run_repetition, scenario_grid
+from mecalib.util import draw_seed, substream
 
 from conftest import base_scenario_dataset
 
@@ -91,7 +106,7 @@ def counting(monkeypatch, module, name, calls=None):
 @pytest.mark.parametrize("method", ["rc", "simex"])
 def test_one_preparation_per_analysis(method, monkeypatch):
     data, spec = base_scenario_dataset(n=200)
-    prepared = counting(monkeypatch, correct, f"_prepare_{method}")
+    prepared = counting(monkeypatch, correct, "prepare_correction")
     full = counting(monkeypatch, correct, f"correct_{method}")
     dist = ErrorVarianceDistribution("uniform", 5.0, 15.0)
     run_sensitivity(data, spec, dist, method, m=15, ci=False,
@@ -142,7 +157,71 @@ def test_correct_reports_the_correctors_own_uncorrected_fit(method, flags, tmp_p
                      "--covariates", "age", "--method", method, *flags, "--n-boot", "0",
                      "--output", str(out)])
     assert code == 0
-    assert len(fits) == (2 if method == "rc" else 1)  # no separate naive fit
+    assert len(fits) == 2  # the naive and calibration fits; no separate naive fit
     with open(out) as handle:
         assert json.load(handle)["uncorrected_estimate"] == expected
     assert f"uncorrected  {expected:.8g}" in capsys.readouterr().out
+
+
+def separate_calls(cfg, rep, n_boot, simex_config, level=0.95):
+    """``_run_repetition``'s result from fresh public calls, one analysis at a time."""
+    data = generate_dataset(cfg, rep)
+    spec = scenario_spec(cfg.k)
+    tau2 = estimate_tau2_from_replicates(data, spec)
+    rng = substream(cfg.seed, rep, 1)  # the repetition's seed order: SIMEX, then rc, simex
+    cfg_rep = replace(simex_config, seed=draw_seed(rng))
+    boot_seeds = {"rc": draw_seed(rng), "simex": draw_seed(rng)}
+    fit = fit_uncorrected(data, spec)
+    expected = {"uncorrected": (float(fit.coefficients[1]), *wald_interval(fit, 1, level))}
+    for method, corrector in (("rc", correct_rc), ("simex", correct_simex)):
+        try:
+            estimate = corrector(data, spec, tau2, cfg_rep).estimate
+            lower = upper = np.nan
+            if n_boot:
+                lower, upper = bootstrap_ci(data, spec, method, tau2, cfg_rep, n_boot=n_boot,
+                                            level=level, seed=boot_seeds[method])
+            expected[method] = (estimate, lower, upper)
+        except (InfeasibleCorrectionError, BootstrapError):
+            expected[method] = None
+    return expected
+
+
+@pytest.mark.parametrize("name", ["base", "tau2_200", "k_2"])
+@pytest.mark.parametrize("n_boot", [0, 50])
+def test_repetition_equals_separate_analyses(name, n_boot):
+    (cfg,) = [c for c in scenario_grid(n_reps=3, seed=7) if c.name == name]
+    simex_config = SimexConfig(n_sim=20)
+    for rep in range(cfg.n_reps):
+        got = _run_repetition((cfg, rep, METHODS, n_boot, 0.95, simex_config))
+        expected = separate_calls(cfg, rep, n_boot, simex_config)
+        assert got.keys() == expected.keys()
+        for method, row in expected.items():
+            if row is None:
+                assert got[method] is None, (name, rep, method)
+            else:
+                assert np.array_equal(got[method], row, equal_nan=True), (name, rep, method)
+
+
+def test_repetition_fits_twice(monkeypatch):
+    # the naive fit and the calibration fit serve all three analyses
+    fits = counting(monkeypatch, linreg, "ols_fit")
+    counting(monkeypatch, correct, "ols_fit", fits)
+    cfg = replace(scenario_grid(n_reps=1)[0], n=200)
+    out = _run_repetition((cfg, 0, METHODS, 0, 0.95, SimexConfig(n_sim=10)))
+    assert all(out[method] is not None for method in METHODS)
+    assert len(fits) == 2
+
+
+def test_singular_repetition_fails_as_before(monkeypatch):
+    def constant_age(cfg, rep):
+        data = generate_dataset(cfg, rep)
+        values = np.array(data.values)
+        values[:, data.column_index("age")] = 30.0
+        return Dataset(data.column_names, values)
+
+    monkeypatch.setattr(simstudy, "generate_dataset", constant_age)
+    cfg = replace(scenario_grid(n_reps=1)[0], n=50)
+    rest = (0, 0.95, SimexConfig(n_sim=5))
+    with pytest.raises(SingularDesignError):
+        _run_repetition((cfg, 0, METHODS, *rest))
+    assert _run_repetition((cfg, 0, ("rc", "simex"), *rest)) == {"rc": None, "simex": None}
