@@ -55,6 +55,13 @@ def _n_boot(text: str) -> int:
     return value
 
 
+def _level(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
 def _print_table(headers, rows):
     table = [tuple(str(c) for c in headers)] + [tuple(str(c) for c in row) for row in rows]
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
@@ -107,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common_flags(p, n_boot_default):
         p.add_argument("--n-boot", type=_n_boot, default=n_boot_default,
                        help="bootstrap replicates for percentile CIs (0 disables)")
-        p.add_argument("--level", type=float, default=0.95, help="confidence level")
+        p.add_argument("--level", type=_level, default=0.95, help="confidence level, in (0, 1)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for all randomized steps")
         p.add_argument("--threads", type=int, default=1,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Mapping
 
 import numpy as np
@@ -225,17 +225,27 @@ def _simulate_lambdas(prepared: tuple[FitResult, float], tau2: ErrorVariance,
     b = uncorrected * a
     c = math.sqrt(fit.residual_variance * df)
     rest_df = df - 1
-    estimates = {0.0: uncorrected}
-    for i, lam in enumerate(cfg.lambda_grid[1:], start=1):  # the grid starts at 0
+    lambdas = cfg.lambda_grid[1:]  # the grid starts at 0
+    z = np.empty((len(lambdas), 2, cfg.n_sim))
+    rest = np.zeros((len(lambdas), cfg.n_sim))
+    for i, row in enumerate(z, start=1):
         rng = substream(cfg.seed, i)
-        sd = math.sqrt(lam * tau2.tau2)
-        z1, z2 = rng.standard_normal((2, cfg.n_sim))
-        rest = rng.chisquare(rest_df, cfg.n_sim) if rest_df > 0 else 0.0
+        rng.standard_normal(out=row)
+        if rest_df > 0:
+            rest[i - 1] = rng.chisquare(rest_df, cfg.n_sim)
+    z1, z2 = z[:, 0], z[:, 1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
+        sd = np.sqrt(np.array(lambdas) * tau2.tau2)[:, None]
         coefs = (a * b + sd * (b * z1 + c * z2)) / (
             a * a + 2.0 * sd * a * z1 + sd * sd * (z1 * z1 + z2 * z2 + rest)
         )
-        estimates[lam] = float(coefs.mean())
-    return estimates
+        means = coefs.mean(axis=1)
+    if not np.isfinite(means).all():
+        raise ValueError(
+            f"SIMEX pseudo estimates overflow float64 at tau2={tau2.tau2:g}; "
+            "rescale the exposure or lower tau2"
+        )
+    return {0.0: uncorrected, **dict(zip(lambdas, means.tolist()))}
 
 
 def simex_estimates_per_lambda(
@@ -266,23 +276,36 @@ def extrapolate(points: Mapping[float, float], extrapolant: str = "quadratic"):
     if extrapolant not in EXTRAPOLANT_DEGREE:
         raise ValueError(f"extrapolant must be linear or quadratic, got {extrapolant!r}")
     degree = EXTRAPOLANT_DEGREE[extrapolant]
-    lambdas = np.array(sorted(points), dtype=np.float64)
-    if len(np.unique(lambdas)) != len(lambdas):
-        raise ValueError("lambda values must be distinct")
+    lambdas = sorted(points)
     if len(lambdas) < degree + 1:
         raise ValueError(
             f"{extrapolant} extrapolation needs at least {degree + 1} points, got {len(lambdas)}"
         )
+    weights, at_minus_one = _extrapolation_weights(tuple(lambdas), degree)
     values = np.array([points[lam] for lam in lambdas], dtype=np.float64)
-    basis = np.vander(lambdas, degree + 1, increasing=True)
-    coefficients, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    at_minus_one = float(np.polynomial.polynomial.polyval(-1.0, coefficients))
-    return at_minus_one, coefficients
+    return float(at_minus_one @ values), weights @ values
+
+
+@lru_cache(maxsize=16)
+def _extrapolation_weights(lambdas: tuple[float, ...], degree: int):
+    """Least-squares polynomial fit on a fixed sorted grid as linear weights of the values.
+
+    Returns ``(W, w)``: the coefficients of the fit to ``values`` are
+    ``W @ values`` and its value at lambda = -1 is ``w @ values``.
+    """
+    grid = np.array(lambdas, dtype=np.float64)
+    if len(np.unique(grid)) != len(grid):
+        raise ValueError("lambda values must be distinct")
+    basis = np.vander(grid, degree + 1, increasing=True)
+    weights, *_ = np.linalg.lstsq(basis, np.eye(len(grid)), rcond=None)
+    return weights, (-1.0) ** np.arange(degree + 1) @ weights
 
 
 def _simex_result(per_lambda: dict, tau2: ErrorVariance, cfg: SimexConfig) -> CorrectionResult:
     """Extrapolation step of SIMEX and its diagnostics."""
     estimate, coefficients = extrapolate(per_lambda, cfg.extrapolant)
+    if not math.isfinite(estimate):
+        raise ValueError(f"SIMEX extrapolation overflows float64 at tau2={tau2.tau2:g}")
     return CorrectionResult(
         method="simex",
         estimate=estimate,

@@ -3,9 +3,10 @@
 This is the single fitting engine behind the uncorrected analysis, the
 calibration-model residual variance, and every inner refit of the
 simulation-extrapolation and bootstrap loops.  One QR of [X | y] yields R,
-Q'y and the residual norm; the singular values of R, those of X, are
-checked against a relative tolerance, so near-collinear designs degrade
-into an explicit rank error rather than silently unstable coefficients.
+Q'y and the residual norm.  The singular values of R with each column scaled
+to unit norm, those of X so scaled, are checked against a relative
+tolerance, so near-collinear designs degrade into an explicit rank error
+rather than silently unstable coefficients, whatever units the columns are in.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 from scipy.linalg import lapack
 
 from .errors import InsufficientDataError, SingularDesignError
 
-# Relative singular-value cutoff below which a design counts as rank deficient.
+# Relative singular-value cutoff, on unit-norm columns, below which a design
+# counts as rank deficient.
 RANK_TOLERANCE = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -71,8 +73,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     Raises
     ------
     SingularDesignError
-        If the smallest singular value is below ``RANK_TOLERANCE`` times the
-        largest.
+        If, with each column of X scaled to unit norm, the smallest singular
+        value is below ``RANK_TOLERANCE`` times the largest.
     InsufficientDataError
         If there are no residual degrees of freedom (n <= p).
     ValueError
@@ -102,11 +104,15 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     for j in range(p):
         top[j + 1 :, j] = 0.0
     r = top[:p, :p]
-    _, s, _ = _lapack(lapack.dgesdd, r, compute_uv=0)
-    if s[0] <= 0.0 or s[-1] < RANK_TOLERANCE * s[0]:
+    norms = np.hypot.reduce(r, axis=0)  # those of X's columns; hypot cannot overflow
+    ratio = 0.0  # a zero column
+    if 0.0 not in norms.tolist():  # p is small
+        _, s, _ = _lapack(lapack.dgesdd, r / norms, compute_uv=0)
+        ratio = s[-1] / s[0]
+    if not ratio >= RANK_TOLERANCE:
         raise SingularDesignError(
-            f"design matrix is rank deficient (singular value ratio "
-            f"{s[-1] / s[0] if s[0] > 0 else 0:.3e} < {RANK_TOLERANCE:g})"
+            f"design matrix is rank deficient (singular value ratio of the "
+            f"unit-norm columns {ratio:.3e} < {RANK_TOLERANCE:g})"
         )
     (r_inv,) = _lapack(lapack.dtrtri, r)
     try:
@@ -125,6 +131,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
         raise ValueError("sum of squares of y overflows float64; rescale y")
     if not all(map(math.isfinite, coef.tolist() + standard_errors.tolist())):  # p is small
         raise ValueError("a coefficient or standard error overflows float64; rescale X or y")
+    coef.setflags(write=False)  # fresh arrays: FitResult keeps them without a copy
+    standard_errors.setflags(write=False)
     noise = n * _EPS * mean  # rounding error left in each centred y
     cut = n * noise * noise  # a tss within it: constant y; an rss within it: exact fit
     r_squared = 1.0 - rss / tss if tss > cut else float(rss <= cut)
@@ -149,9 +157,13 @@ def residual_variance_of(X: np.ndarray, v: np.ndarray) -> float:
 
 
 def wald_interval(fit: FitResult, index: int = 1, level: float = 0.95):
-    """Normal-theory t interval for one coefficient of an OLS fit."""
+    """Normal-theory t interval for one coefficient of an OLS fit.
+
+    The quantile is ``stdtrit``, the inverse Student t distribution function
+    that ``scipy.stats.t.ppf`` evaluates, called without its argument handling.
+    """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    half = stats.t.ppf(0.5 + level / 2.0, fit.n - fit.p) * fit.standard_errors[index]
+    half = special.stdtrit(fit.n - fit.p, 0.5 + level / 2.0) * fit.standard_errors[index]
     estimate = fit.coefficients[index]
     return float(estimate - half), float(estimate + half)

@@ -157,6 +157,7 @@ def generate_dataset(cfg: ScenarioConfig, rep_index: int) -> Dataset:
         + rng.normal(0.0, np.sqrt(cfg.sigma2), n)
     )
     values = np.column_stack([creatinine, bp[:, None] + replicate_errors, age])
+    values.setflags(write=False)  # a fresh array: no defensive copy needed
     return Dataset(scenario_spec(k).all_columns(), values)
 
 

@@ -97,6 +97,22 @@ def test_too_small_n_boot_is_usage_error(study_csv, tmp_path, n_boot):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("level", ["0", "1", "1.5", "nan", "-0.1"])
+def test_level_outside_unit_interval_is_usage_error(study_csv, tmp_path, level):
+    data = ("--input", str(study_csv), "--outcome", "creatinine", "--exposure", "bp_star_1")
+    commands = [
+        ("correct", *data, "--method", "rc", "--tau2", "5", "--output", str(tmp_path / "c.json")),
+        ("sensitivity", *data, "--method", "rc", "--tau2-dist", "uniform",
+         "--tau2-min", "1", "--tau2-max", "5", "--output", str(tmp_path / "s.csv")),
+        ("simulate", "--scenario", "base", "--reps", "2", "--out-dir", str(tmp_path / "o")),
+    ]
+    for command in commands:
+        proc = run_cli(*command, "--level", level)
+        assert proc.returncode == 2, (command[0], proc.stderr)
+        assert "--level" in proc.stderr and "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("reps", ["0", "-3"])
 def test_non_positive_reps_is_usage_error(tmp_path, reps):
     out_dir = tmp_path / "o"

@@ -16,17 +16,21 @@ from conftest import base_scenario_dataset
 def svd_ols_fit(X, y):
     """Reference OLS through a full SVD of X: the oracle for ``ols_fit``.
 
-    Same checks, tolerance and conventions as ``ols_fit``; the coefficients
-    come from X = U S V', the RSS from explicit residuals.
+    Same checks, tolerance and conventions as ``ols_fit``: the rank test
+    takes the singular values of X with each column scaled to unit norm; the
+    coefficients come from X = U S V', the RSS from explicit residuals.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
     if n <= p:
         raise InsufficientDataError(f"n={n} rows cannot identify p={p} parameters")
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] < RANK_TOLERANCE * s[0]:
+    unit = X / np.abs(X).max(axis=0)
+    unit /= np.linalg.norm(unit, axis=0)
+    scaled = np.linalg.svd(unit, compute_uv=False)
+    if not scaled[-1] >= RANK_TOLERANCE * scaled[0]:
         raise SingularDesignError("design matrix is rank deficient")
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
     coef = vt.T @ ((u.T @ y) / s)
     residuals = y - X @ coef
     rss = float(residuals @ residuals)
@@ -171,6 +175,17 @@ def test_wald_interval_contains_estimate_and_orders_levels():
         wald_interval(fit, 1, 1.2)
 
 
+def test_wald_interval_equals_stats_t_formula_bit_for_bit():
+    from scipy import stats
+
+    levels = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
+    for df in [*range(1, 400), 1_999, 5_000, 9_997, 10_000, 99_997]:
+        fit = FitResult(np.array([1.5, -0.25]), np.array([0.3, 0.0123]), 1.0, 0.5, df + 2, 2)
+        for level in levels:
+            half = stats.t.ppf(0.5 + level / 2.0, fit.n - fit.p) * fit.standard_errors[1]
+            assert wald_interval(fit, 1, level) == (float(-0.25 - half), float(-0.25 + half))
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("intercept", [True, False])
 def test_matches_svd_oracle(p, intercept):
@@ -196,19 +211,81 @@ def raises_singular(fit, X, y):
     return False
 
 
+def unit_column_factor(singular_values, rng):
+    """A square matrix with unit-norm columns and the given singular value ratios.
+
+    The values are rescaled so that their squares sum to p, then Givens
+    rotations from the right, which keep the singular values, bring one
+    column at a time to unit norm (Davies & Higham, 2000).
+    """
+    s = np.asarray(singular_values, dtype=np.float64)
+    p = len(s)
+    s = s * np.sqrt(p / np.sum(s * s))
+    v, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    m = s[:, None] * v.T
+    done = set()
+    for _ in range(p - 1):
+        norms = np.einsum("ij,ij->j", m, m)
+        free = [k for k in range(p) if k not in done]
+        i = min(free, key=norms.__getitem__)
+        j = max(free, key=norms.__getitem__)
+        a_ii, a_jj, a_ij = norms[i] - 1.0, norms[j] - 1.0, m[:, i] @ m[:, j]
+        if a_jj > 0.0:  # else every free column has unit norm already
+            t = (-a_ij + np.sqrt(a_ij * a_ij - a_ii * a_jj)) / a_jj
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            m[:, i], m[:, j] = c * m[:, i] + t * c * m[:, j], -t * c * m[:, i] + c * m[:, j]
+        done.add(i)
+    return m
+
+
 @pytest.mark.parametrize("ratio", [1e-9, 2e-10, 1.01e-10, 0.99e-10, 5e-11, 1e-12])
 def test_rank_decision_matches_svd_oracle(ratio):
+    # the unit-norm columns have singular value ratio `ratio`; the raw columns
+    # carry scales up to 1e8 apart, which must not change the decision
     rng = np.random.default_rng(int(-np.log10(ratio) * 100))
     for n in (6, 50, 2_000):
         for p in (2, 3, 4):
             u, _ = np.linalg.qr(rng.normal(size=(n, p)))
-            v, _ = np.linalg.qr(rng.normal(size=(p, p)))
-            s = np.geomspace(1.0, ratio, p) * 10.0 ** rng.uniform(-3, 3)
-            X = (u * s) @ v.T
+            unit = u @ unit_column_factor(np.geomspace(1.0, ratio, p), rng)
+            scaled_s = np.linalg.svd(unit, compute_uv=False)
+            assert scaled_s[-1] / scaled_s[0] == pytest.approx(ratio, rel=1e-3)
+            X = unit * 10.0 ** rng.uniform(-4, 4, p)
             y = rng.normal(size=n)
             expected = ratio < RANK_TOLERANCE
             assert raises_singular(svd_ols_fit, X, y) == expected
             assert raises_singular(ols_fit, X, y) == expected
+
+
+def column_scaled_lstsq(X, y):
+    """lstsq on unit-norm columns, mapped back: an oracle for any column scale."""
+    norms = np.abs(X).max(axis=0)
+    norms = norms * np.linalg.norm(X / norms, axis=0)
+    coef, *_ = np.linalg.lstsq(X / norms, y, rcond=None)
+    return coef / norms
+
+
+@pytest.mark.parametrize("case", ["mol_per_litre", "times_1e155"])
+def test_full_rank_design_in_any_units_fits(case):
+    rng = np.random.default_rng(31)
+    n = 200
+    z = rng.normal(size=n)
+    x = 5e-9 + 1e-9 * z if case == "mol_per_litre" else 1e155 * (120.0 + 7.0 * z)
+    age = rng.normal(32.0, 5.0, n)
+    X = np.column_stack([np.ones(n), x, age])
+    y = 30.0 + z + 0.2 * age + rng.normal(size=n)
+    fit = ols_fit(X, y)
+    assert fit.coefficients == pytest.approx(column_scaled_lstsq(X, y), rel=1e-9)
+    assert np.isfinite(fit.standard_errors).all()
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-9, 1.0, 1e9, 1e150])
+def test_collinear_design_rejected_at_any_column_scale(scale):
+    x = np.random.default_rng(2).normal(size=40)
+    X = np.column_stack([np.ones(40), scale * x, 3.0 * scale * x])
+    with pytest.raises(SingularDesignError, match="rank deficient"):
+        ols_fit(X, np.ones(40))
+    with pytest.raises(SingularDesignError, match="rank deficient"):
+        ols_fit(np.column_stack([np.ones(40), scale * x, np.zeros(40)]), np.ones(40))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
