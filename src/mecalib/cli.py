@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--methods", type=_comma_list, default=METHODS,
                        help="comma-separated subset of " + ",".join(METHODS))
     p_sim.add_argument("--full", action="store_true",
-                       help="include the slow n=10000 scenario in 'all'")
+                       help="accepted and ignored: 'all' runs every scenario, n=10000 included")
     add_common_flags(p_sim, n_boot_default=0)
     p_sim.add_argument("--out-dir", default="study_report",
                        help="directory for the report CSVs and summaries.json")
@@ -230,7 +230,7 @@ def _cmd_correct(args, parser) -> int:
     _, prepare, apply = correction_steps(args.method)
     prepared = prepare(data, spec)  # the corrector's own naive fit, reported as uncorrected
     result = apply(prepared, tau2, cfg)
-    uncorrected = float(prepared[0].coefficients[1])
+    uncorrected = prepared.slope
     if args.n_boot:
         lower, upper = bootstrap_ci(
             data, spec, args.method, tau2, cfg,
@@ -318,7 +318,7 @@ def _select_scenarios(args, parser):
     else:
         grid = scenario_grid(seed=args.seed)
         if args.scenario == "all":
-            scenarios = [cfg for cfg in grid if args.full or cfg.n <= 1000]
+            scenarios = grid
         else:
             matches = [cfg for cfg in grid if cfg.name == args.scenario]
             if not matches:

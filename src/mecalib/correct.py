@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -167,27 +167,60 @@ def conditional_exposure_variance(data: Dataset, spec: AnalysisSpec) -> float:
     return residual_variance_of(covariates, data.column(spec.exposure))
 
 
-def prepare_correction(data: Dataset, spec: AnalysisSpec) -> tuple[FitResult, float]:
-    """The tau2-free part of every correction: the naive fit and V."""
-    return fit_uncorrected(data, spec), conditional_exposure_variance(data, spec)
+class CorrectionInputs(NamedTuple):
+    """The five numbers every correction reads from a dataset.
+
+    ``slope`` is the naive exposure coefficient and ``residual_variance`` the
+    residual variance of the naive fit on [1, x*, covariates]; ``v`` is V, the
+    residual variance of x* on [1, covariates]; ``n`` rows and ``p`` naive
+    design columns.  Each is a scalar for one dataset, or an array with one
+    entry per dataset, so one arithmetic serves a single analysis and a block
+    of simulated datasets alike.
+    """
+
+    slope: float | np.ndarray
+    residual_variance: float | np.ndarray
+    v: float | np.ndarray
+    n: int | np.ndarray
+    p: int | np.ndarray
+
+    @classmethod
+    def from_fit(cls, naive: FitResult, v) -> "CorrectionInputs":
+        """The numbers of a naive fit (of one design or a stack) and its V."""
+        slope = naive.coefficients[..., 1]
+        return cls(slope if slope.ndim else float(slope), naive.residual_variance, v,
+                   naive.n, naive.p)
 
 
-def _apply_rc(prepared: tuple[FitResult, float], tau2: ErrorVariance,
-              cfg=None) -> CorrectionResult:
+def prepare_correction(data: Dataset, spec: AnalysisSpec) -> CorrectionInputs:
+    """The tau2-free part of every correction: the naive fit and V, as five numbers."""
+    return CorrectionInputs.from_fit(fit_uncorrected(data, spec),
+                                     conditional_exposure_variance(data, spec))
+
+
+def _rc_estimate(prepared: CorrectionInputs, tau2):
+    """Regression calibration's (estimate, factor), scalars or elementwise on arrays.
+
+    The factor is V / (V - tau2); the caller decides feasibility (tau2 < V).
+    """
+    factor = prepared.v / (prepared.v - tau2)
+    return prepared.slope * factor, factor
+
+
+def _apply_rc(prepared: CorrectionInputs, tau2: ErrorVariance, cfg=None) -> CorrectionResult:
     """Per-tau2 part of regression calibration: the closed-form factor V / (V - tau2)."""
-    fit, v = prepared
-    uncorrected = float(fit.coefficients[1])
+    v = prepared.v
     if v <= tau2.tau2:
         raise InfeasibleCorrectionError(
             f"infeasible correction: tau2 ({tau2.tau2:g}) >= "
             f"conditional exposure variance ({v:g})"
         )
-    factor = v / (v - tau2.tau2)
+    estimate, factor = _rc_estimate(prepared, tau2.tau2)
     return CorrectionResult(
         method="rc",
-        estimate=uncorrected * factor,
+        estimate=estimate,
         diagnostics={
-            "uncorrected_estimate": uncorrected,
+            "uncorrected_estimate": prepared.slope,
             "conditional_exposure_variance": v,
             "correction_factor": factor,
             "tau2": tau2.tau2,
@@ -208,44 +241,84 @@ def correct_rc(
     return _apply_rc(prepare_correction(data, spec), tau2)
 
 
-def _simulate_lambdas(prepared: tuple[FitResult, float], tau2: ErrorVariance,
-                      cfg: SimexConfig) -> dict:
-    """Per-tau2 simulation step of SIMEX on a prepared dataset."""
-    fit, v = prepared
-    uncorrected = float(fit.coefficients[1])
-    if tau2.tau2 == 0.0:
-        return {lam: uncorrected for lam in cfg.lambda_grid}
+def _simex_means(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds) -> np.ndarray:
+    """Mean pseudo estimate per positive lambda: one row per seed, one column per lambda.
+
+    ``prepared`` and ``tau2`` hold scalars or arrays with one entry per seed.
+    Row r draws grid entry i from the sub-stream (seeds[r], i); a row with
+    tau2 = 0 draws nothing and holds the naive slope.  Rows may overflow to
+    inf or NaN; the callers report it.
+    """
+    rows = len(seeds)
+    slope, residual_variance, v, n, p, tau2 = (
+        np.broadcast_to(np.asarray(x, dtype=np.float64), (rows,))
+        for x in (*prepared, tau2)
+    )
     # Residualized on the other design columns (Frisch-Waugh-Lovell), the
     # exposure is a e1 and the response b e1 + c e2 with e1, e2 orthonormal:
     # a^2 = V (df + 1) from the calibration fit, b = slope a, and c^2 is the
     # naive RSS.  The residualized noise is sd (z1 e1 + z2 e2 + r), where r
     # lies in the other df - 1 residual dimensions and |r|^2 = sd^2 rest.
-    df = fit.n - fit.p
-    a = math.sqrt(v * (df + 1))
-    b = uncorrected * a
-    c = math.sqrt(fit.residual_variance * df)
+    df = n - p
     rest_df = df - 1
-    lambdas = cfg.lambda_grid[1:]  # the grid starts at 0
-    z = np.empty((len(lambdas), 2, cfg.n_sim))
-    rest = np.zeros((len(lambdas), cfg.n_sim))
-    for i, row in enumerate(z, start=1):
-        rng = substream(cfg.seed, i)
-        rng.standard_normal(out=row)
-        if rest_df > 0:
-            rest[i - 1] = rng.chisquare(rest_df, cfg.n_sim)
-    z1, z2 = z[:, 0], z[:, 1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
-        sd = np.sqrt(np.array(lambdas) * tau2.tau2)[:, None]
+    lambdas = np.array(cfg.lambda_grid[1:])  # the grid starts at 0
+    z = np.zeros((rows, len(lambdas), 2, cfg.n_sim))
+    rest = np.zeros((rows, len(lambdas), cfg.n_sim))
+    for r, seed in enumerate(seeds):
+        if tau2[r] == 0.0:
+            continue
+        for i, draws in enumerate(z[r], start=1):
+            rng = substream(seed, i)
+            rng.standard_normal(out=draws)
+            if rest_df[r] > 0:
+                rest[r, i - 1] = rng.chisquare(rest_df[r], cfg.n_sim)
+    z1, z2 = z[:, :, 0], z[:, :, 1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported by callers
+        a = np.sqrt(v * (df + 1))[:, None, None]
+        b = slope[:, None, None] * a
+        c = np.sqrt(residual_variance * df)[:, None, None]
+        sd = np.sqrt(lambdas * tau2[:, None])[..., None]
         coefs = (a * b + sd * (b * z1 + c * z2)) / (
             a * a + 2.0 * sd * a * z1 + sd * sd * (z1 * z1 + z2 * z2 + rest)
         )
-        means = coefs.mean(axis=1)
-    if not np.isfinite(means).all():
-        raise ValueError(
-            f"SIMEX pseudo estimates overflow float64 at tau2={tau2.tau2:g}; "
+        means = coefs.mean(axis=-1)
+    return np.where((tau2 == 0.0)[:, None], slope[:, None], means)
+
+
+def _simex_overflow(tau2: float, means_finite: bool) -> ValueError:
+    if not means_finite:
+        return ValueError(
+            f"SIMEX pseudo estimates overflow float64 at tau2={tau2:g}; "
             "rescale the exposure or lower tau2"
         )
-    return {0.0: uncorrected, **dict(zip(lambdas, means.tolist()))}
+    return ValueError(f"SIMEX extrapolation overflows float64 at tau2={tau2:g}")
+
+
+def _simulate_lambdas(prepared: CorrectionInputs, tau2: ErrorVariance,
+                      cfg: SimexConfig) -> dict:
+    """Per-tau2 simulation step of SIMEX on a prepared dataset."""
+    means = _simex_means(prepared, tau2.tau2, cfg, (cfg.seed,))[0].tolist()
+    if not all(map(math.isfinite, means)):
+        raise _simex_overflow(tau2.tau2, means_finite=False)
+    return dict(zip(cfg.lambda_grid, [prepared.slope, *means]))
+
+
+def _simex_estimates(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds):
+    """SIMEX estimates of a block of datasets, and the overflow error of each failed one.
+
+    Dataset r is seeded ``seeds[r]``; its estimate equals that of
+    ``_apply_simex`` with ``cfg`` so seeded, bit for bit.  Returns the
+    estimates and a mapping from the index of each dataset whose lambda means
+    or estimate are not finite to the ``ValueError`` that path raises.
+    """
+    values = np.column_stack([np.broadcast_to(prepared.slope, (len(seeds),)),
+                              _simex_means(prepared, tau2, cfg, seeds)])
+    _, at_minus_one = _extrapolation_weights(cfg.lambda_grid, EXTRAPOLANT_DEGREE[cfg.extrapolant])
+    estimates = _weighted_sum(values, at_minus_one)
+    means_finite = np.isfinite(values).all(axis=1)
+    failed = np.flatnonzero(~(means_finite & np.isfinite(estimates)))
+    tau2 = np.broadcast_to(tau2, (len(seeds),))
+    return estimates, {int(r): _simex_overflow(float(tau2[r]), means_finite[r]) for r in failed}
 
 
 def simex_estimates_per_lambda(
@@ -283,7 +356,19 @@ def extrapolate(points: Mapping[float, float], extrapolant: str = "quadratic"):
         )
     weights, at_minus_one = _extrapolation_weights(tuple(lambdas), degree)
     values = np.array([points[lam] for lam in lambdas], dtype=np.float64)
-    return float(at_minus_one @ values), weights @ values
+    return float(_weighted_sum(values, at_minus_one)), weights @ values
+
+
+def _weighted_sum(values: np.ndarray, weights: np.ndarray):
+    """``weights @ row`` for each row of ``values``, added in grid order.
+
+    The fixed order makes a row's result independent of the rows beside it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers report overflow
+        total = values[..., 0] * weights[0]
+        for j in range(1, len(weights)):
+            total = total + values[..., j] * weights[j]
+    return total
 
 
 @lru_cache(maxsize=16)
@@ -305,7 +390,7 @@ def _simex_result(per_lambda: dict, tau2: ErrorVariance, cfg: SimexConfig) -> Co
     """Extrapolation step of SIMEX and its diagnostics."""
     estimate, coefficients = extrapolate(per_lambda, cfg.extrapolant)
     if not math.isfinite(estimate):
-        raise ValueError(f"SIMEX extrapolation overflows float64 at tau2={tau2.tau2:g}")
+        raise _simex_overflow(tau2.tau2, means_finite=True)
     return CorrectionResult(
         method="simex",
         estimate=estimate,
@@ -318,9 +403,9 @@ def _simex_result(per_lambda: dict, tau2: ErrorVariance, cfg: SimexConfig) -> Co
     )
 
 
-def _apply_simex(prepared: tuple[FitResult, float], tau2: ErrorVariance,
+def _apply_simex(prepared: CorrectionInputs, tau2: ErrorVariance,
                  cfg: SimexConfig) -> CorrectionResult:
-    """Per-tau2 part of SIMEX: simulate on the prepared fit and V, then extrapolate."""
+    """Per-tau2 part of SIMEX: simulate on the prepared numbers, then extrapolate."""
     return _simex_result(_simulate_lambdas(prepared, tau2, cfg), tau2, cfg)
 
 

@@ -11,6 +11,7 @@ rather than silently unstable coefficients, whatever units the columns are in.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,8 @@ class FitResult:
 
     ``coefficients`` follow the design-matrix column order (intercept first).
     ``residual_variance`` uses the n - p convention, p counting the intercept,
-    so an intercept-only fit reproduces the unbiased sample variance.
+    so an intercept-only fit reproduces the unbiased sample variance.  A fit
+    of a stack of designs holds arrays with one entry (or row) per design.
     ``r_squared`` is 1 - rss / tss, except for a constant response (tss within
     the rounding noise n (n eps mean(y))^2): 1 if rss is within that cut, else 0.
     """
@@ -62,13 +64,37 @@ def _lapack(routine, *args, **kwargs) -> list:  # outputs without the info code
     return outputs
 
 
+def _finite(*values) -> bool:
+    """Whether every entry of the scalars and small arrays is finite."""
+    for value in values:
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                return False
+        elif not all(map(math.isfinite, value.ravel().tolist())):
+            return False
+    return True
+
+
+def _raise_rank_deficient(ratio: float):
+    raise SingularDesignError(
+        f"design matrix is rank deficient (singular value ratio of the "
+        f"unit-norm columns {ratio:.3e} < {RANK_TOLERANCE:g})"
+    )
+
+
 def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
-    """Least-squares fit of ``y`` on the columns of ``X``.
+    """Least-squares fit of ``y`` on the columns of ``X``, or of each of a stack of designs.
 
     Parameters
     ----------
-    X : (n, p) design matrix, full column rank, n > p.
-    y : (n,) response vector.
+    X : (n, p) design matrix, full column rank, n > p, or a stack (..., n, p).
+    y : (n,) response vector, or a stack (..., n) with the same leading shape.
+
+    A stack runs the same LAPACK factorisations design by design and then
+    everything else once, elementwise over the stack.  Its ``FitResult`` holds
+    arrays: coefficients and standard errors of shape (..., p), residual
+    variance and R^2 of shape (...).  Each design's numbers are those of a fit
+    on that design alone, bit for bit, whatever the stack holds besides.
 
     Raises
     ------
@@ -78,64 +104,86 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     InsufficientDataError
         If there are no residual degrees of freedom (n <= p).
     ValueError
-        If X or y holds a NaN or an infinity, or a sum of squares, a
-        coefficient or a standard error overflows.
+        If X has no columns, X or y holds a NaN or an infinity, or a sum of
+        squares, a coefficient or a standard error overflows.
+    A stack raises if any of its designs would.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be a 2-D design matrix")
-    n, p = X.shape
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    if X.ndim < 2 or X.shape[-1] == 0:
+        raise ValueError(f"X must be an (n, p) design matrix with p >= 1, got shape {X.shape}")
+    *batch, n, p = X.shape
+    if y.shape != (*batch, n):
+        raise ValueError(f"y has shape {y.shape}, expected {(*batch, n)}")
     if n <= p:
         raise InsufficientDataError(f"n={n} rows cannot identify p={p} parameters")
 
-    augmented = np.empty((n, p + 1), order="F")
-    augmented[:, :p] = X
-    augmented[:, p] = y
-    qr, _, _ = _lapack(lapack.dgeqrf, augmented, overwrite_a=1)
+    # Each design's [X | y] is Fortran-ordered, so dgeqrf factors it in place.
+    augmented = np.empty((*batch, p + 1, n)).swapaxes(-1, -2)
+    augmented[..., :p] = X
+    augmented[..., p] = y
+    designs = list(itertools.product(*map(range, batch)))  # [()] for one design
+    for d in designs:
+        design = augmented[d]
+        qr, _, _ = _lapack(lapack.dgeqrf, design, overwrite_a=1)
+        if qr is not design:  # f2py factored a copy after all
+            design[...] = qr
     # Top block: R | Q'y above the residual norm, reflectors below the diagonal.
-    top = qr[: p + 1]
-    if not np.isfinite(top).all():  # NaN and inf reach R, Q'y or the norm
+    top = augmented[..., : p + 1, :]
+    if not _finite(top):  # NaN and inf reach R, Q'y or the norm
         if np.isfinite(X).all() and np.isfinite(y).all():
             raise ValueError("a column norm of [X | y] overflows float64; rescale X or y")
         raise ValueError("X and y must hold finite values only")
     for j in range(p):
-        top[j + 1 :, j] = 0.0
-    r = top[:p, :p]
-    norms = np.hypot.reduce(r, axis=0)  # those of X's columns; hypot cannot overflow
-    ratio = 0.0  # a zero column
-    if 0.0 not in norms.tolist():  # p is small
-        _, s, _ = _lapack(lapack.dgesdd, r / norms, compute_uv=0)
-        ratio = s[-1] / s[0]
-    if not ratio >= RANK_TOLERANCE:
-        raise SingularDesignError(
-            f"design matrix is rank deficient (singular value ratio of the "
-            f"unit-norm columns {ratio:.3e} < {RANK_TOLERANCE:g})"
-        )
-    (r_inv,) = _lapack(lapack.dtrtri, r)
-    try:
-        rss = float(top[p, p]) ** 2
-    except OverflowError:  # the residual norm passed about 1e154
-        rss = math.inf
-    residual_variance = rss / (n - p)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflows are reported below
-        mean = float(y.sum()) / n
-        coef = r_inv @ top[:p, p]
-        # diag((X'X)^-1) = diag(R^-1 R^-T): the row sums of squares of R^-1.
-        standard_errors = np.sqrt(residual_variance * np.einsum("ij,ij->i", r_inv, r_inv))
-    centered = y - mean
-    tss = float(np.vdot(centered, centered))  # BLAS: overflows to inf without a warning
-    if not (math.isfinite(rss) and math.isfinite(tss)):
-        raise ValueError("sum of squares of y overflows float64; rescale y")
-    if not all(map(math.isfinite, coef.tolist() + standard_errors.tolist())):  # p is small
+        top[..., j + 1 :, j] = 0.0
+    r = top[..., :p, :p]
+    norms = np.hypot.reduce(r, axis=-2)  # those of X's columns; hypot cannot overflow
+    if 0.0 in norms.ravel().tolist():  # a zero column
+        _raise_rank_deficient(0.0)
+    r_inv = np.empty((*batch, p, p))
+    zero_pivots = []  # dtrtri leaves such an R as it is
+    for d in designs:
+        r_inv[d], info = lapack.dtrtri(r[d])
+        if info:
+            zero_pivots.append(d)
+    residual_norm = top[..., p, p]  # per design: a scalar for one design
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
+        # sqrt(diag((X'X)^-1)) = sqrt(diag(R^-1 R^-T)): the row norms of R^-1.
+        inverse_row_norms = np.hypot.reduce(r_inv, axis=-1)
+        # Rank test on U = R / norms, whose columns have unit norm: sigma_max(U)
+        # <= sqrt(p) and 1 / sigma_min(U) <= ||U^-1||_F, the rows of U^-1 being
+        # norms_i R^-1_i.  A small ||U^-1||_F so certifies a singular value ratio
+        # of at least twice RANK_TOLERANCE; other designs take an SVD of U.
+        certified = (np.hypot.reduce(norms * inverse_row_norms, axis=-1)
+                     <= 0.5 / (RANK_TOLERANCE * math.sqrt(p)))
+        rss = residual_norm * residual_norm
+        residual_variance = rss / (n - p)
+        coef = (r_inv @ top[..., :p, p:])[..., 0]
+        standard_errors = np.sqrt(residual_variance)[..., None] * inverse_row_norms
+        mean = np.add.reduce(y, -1) / n
+        centered = y - mean[..., None]
+        centered *= centered
+        tss = np.add.reduce(centered, -1)
+        noise = n * _EPS * mean  # rounding error left in each centred y
+        cut = n * noise * noise  # a tss within it: constant y; an rss within it: exact fit
+        r_squared = 1.0 - rss / tss
+        constant = tss <= cut
+        if True in constant.ravel().tolist():
+            r_squared = np.where(constant, rss <= cut, r_squared)[()]
+    for d, sure in zip(designs, certified.ravel().tolist()):
+        if not sure or d in zero_pivots:
+            _, s, _ = _lapack(lapack.dgesdd, r[d] / norms[d], compute_uv=0)
+            ratio = s[-1] / s[0]
+            if not ratio >= RANK_TOLERANCE:
+                _raise_rank_deficient(ratio)
+    if not _finite(rss, tss, coef, standard_errors):
+        if not _finite(rss, tss):
+            raise ValueError("sum of squares of y overflows float64; rescale y")
         raise ValueError("a coefficient or standard error overflows float64; rescale X or y")
     coef.setflags(write=False)  # fresh arrays: FitResult keeps them without a copy
     standard_errors.setflags(write=False)
-    noise = n * _EPS * mean  # rounding error left in each centred y
-    cut = n * noise * noise  # a tss within it: constant y; an rss within it: exact fit
-    r_squared = 1.0 - rss / tss if tss > cut else float(rss <= cut)
+    if not batch:
+        residual_variance, r_squared = float(residual_variance), float(r_squared)
 
     return FitResult(
         coefficients=coef,
@@ -161,9 +209,13 @@ def wald_interval(fit: FitResult, index: int = 1, level: float = 0.95):
 
     The quantile is ``stdtrit``, the inverse Student t distribution function
     that ``scipy.stats.t.ppf`` evaluates, called without its argument handling.
+    A stacked fit gives arrays of endpoints, one per design.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    half = special.stdtrit(fit.n - fit.p, 0.5 + level / 2.0) * fit.standard_errors[index]
-    estimate = fit.coefficients[index]
-    return float(estimate - half), float(estimate + half)
+    half = special.stdtrit(fit.n - fit.p, 0.5 + level / 2.0) * fit.standard_errors[..., index]
+    estimate = fit.coefficients[..., index]
+    lower, upper = estimate - half, estimate + half
+    if np.ndim(lower):
+        return lower, upper
+    return float(lower), float(upper)

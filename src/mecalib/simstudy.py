@@ -23,6 +23,7 @@ coverage of the true effect, each with its Monte Carlo standard error.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -30,20 +31,16 @@ import numpy as np
 
 from .correct import (
     CORRECTION_METHODS,
+    CorrectionInputs,
     SimexConfig,
+    _rc_estimate,
+    _simex_estimates,
     bootstrap_ci,
-    correction_steps,
     estimate_tau2_from_replicates,
-    prepare_correction,
 )
 from .data import AnalysisSpec, Dataset
-from .errors import (
-    BootstrapError,
-    InfeasibleCorrectionError,
-    SimulationError,
-    SingularDesignError,
-)
-from .linreg import wald_interval
+from .errors import BootstrapError, MecalibError, SimulationError, SingularDesignError
+from .linreg import ols_fit, wald_interval
 from .util import (DEFAULT_SEED, draw_seed, parallel_map, require_integers, substream,
                    write_csv_rows, write_json)
 
@@ -161,13 +158,28 @@ def generate_dataset(cfg: ScenarioConfig, rep_index: int) -> Dataset:
     return Dataset(scenario_spec(k).all_columns(), values)
 
 
+# Why a repetition yields no estimate for a method: the calibration is
+# infeasible (tau2 >= V), a design is rank deficient, or too many bootstrap
+# replicates failed.
+FAILURE_REASONS = ("infeasible", "singular", "bootstrap")
+
+# Repetitions analysed together: a block makes two stacked fits and one
+# array pass of each correction, whatever its size.
+BLOCK_REPS = 32
+
+
 @dataclass(frozen=True)
 class MethodPerformance:
-    """Performance of one method over the repetitions of one scenario."""
+    """Performance of one method over the repetitions of one scenario.
+
+    ``failures`` counts the excluded repetitions by reason (see
+    ``FAILURE_REASONS``); ``n_failures`` is their sum.
+    """
 
     method: str
     n_reps_used: int
     n_failures: int
+    failures: dict[str, int]
     mean_estimate: float
     mean_estimate_mcse: float
     bias: float
@@ -188,51 +200,117 @@ class PerformanceSummary:
     methods: dict[str, MethodPerformance] = field(default_factory=dict)
 
 
-def _run_repetition(args):
-    """One simulation repetition; returns method -> (estimate, ci_lo, ci_hi) or None."""
-    cfg, rep, methods, n_boot, level, simex_config = args
-    data = generate_dataset(cfg, rep)
-    spec = scenario_spec(cfg.k)
-    tau2 = estimate_tau2_from_replicates(data, spec)
-    # Analysis seeds are drawn up front in a fixed order (SIMEX seed, then one
-    # bootstrap seed per correction method) so that results for one method do
-    # not depend on which other methods were requested.
-    rng = substream(cfg.seed, rep, 1)
-    cfg_rep = replace(simex_config, seed=draw_seed(rng))
-    boot_seeds = {method: draw_seed(rng) for method in CORRECTION_METHODS}
+def _block_bounds(n_reps: int, threads: int) -> list[tuple[int, int]]:
+    """Consecutive repetition ranges of at most BLOCK_REPS, at least ``threads`` of them."""
+    size = max(1, min(BLOCK_REPS, n_reps // max(threads, 1)))
+    return [(start, min(start + size, n_reps)) for start in range(0, n_reps, size)]
 
-    try:
-        prepared = prepare_correction(data, spec)  # the naive fit and V, shared by all
-    except SingularDesignError:
-        if "uncorrected" in methods:
-            raise
-        return dict.fromkeys(methods)  # every selected correction fails on this dataset
-    out = {}
-    if "uncorrected" in methods:
-        fit = prepared[0]
-        lower, upper = wald_interval(fit, index=1, level=level)
-        out["uncorrected"] = (float(fit.coefficients[1]), lower, upper)
-    for method in CORRECTION_METHODS:
-        if method not in methods:
-            continue
-        apply = correction_steps(method)[2]
-        try:
-            estimate = apply(prepared, tau2, cfg_rep).estimate
-            lower = upper = np.nan
+
+def _stacked_fits(datasets, spec: AnalysisSpec):
+    """The naive and calibration fits of every dataset: two stacked ``ols_fit`` calls."""
+    n, covariates = datasets[0].n_rows, len(spec.covariates)
+    X = np.empty((len(datasets), n, 2 + covariates))
+    y = np.empty((len(datasets), n))
+    X[..., 0] = 1.0
+    for design, response, data in zip(X, y, datasets):
+        design[:, 1] = data.column(spec.exposure)
+        design[:, 2:] = data.columns(spec.covariates)
+        response[:] = data.column(spec.outcome)
+    calibration = ols_fit(np.delete(X, 1, axis=2), X[..., 1])
+    return ols_fit(X, y), calibration
+
+
+def _prepare_block(cfg: ScenarioConfig, reps: range, methods, n_boot: int):
+    """Each repetition's dataset, tau2 and seeds, and the block's two stacked fits."""
+    spec = scenario_spec(cfg.k)
+    datasets, tau2, simex_seeds, boot_seeds = [], [], [], []
+    for rep in reps:
+        data = generate_dataset(cfg, rep)
+        datasets.append(data)
+        tau2.append(estimate_tau2_from_replicates(data, spec))
+        # Analysis seeds are drawn in a fixed order (SIMEX seed, then one
+        # bootstrap seed per correction method) so that results for one method
+        # do not depend on which other methods were requested.
+        if "simex" in methods or n_boot:
+            rng = substream(cfg.seed, rep, 1)
+            simex_seeds.append(draw_seed(rng))
             if n_boot:
-                lower, upper = bootstrap_ci(
-                    data, spec, method, tau2, cfg_rep,
-                    n_boot=n_boot, level=level, seed=boot_seeds[method],
-                )
-            out[method] = (estimate, lower, upper)
-        except (InfeasibleCorrectionError, BootstrapError, SingularDesignError):
-            out[method] = None
-    return out
+                boot_seeds.append({method: draw_seed(rng) for method in CORRECTION_METHODS})
+    naive, calibration = _stacked_fits(datasets, spec)
+    return spec, datasets, tau2, simex_seeds, boot_seeds, naive, calibration
+
+
+def _analyse_block(prepared, methods, n_boot: int, level: float, simex_config: SimexConfig):
+    """Per repetition: method -> (estimate, ci_lower, ci_upper), or its failure reason."""
+    spec, datasets, tau2_values, simex_seeds, boot_seeds, naive, calibration = prepared
+    inputs = CorrectionInputs.from_fit(naive, calibration.residual_variance)
+    tau2 = np.array([value.tau2 for value in tau2_values])
+    estimates, simex_errors = {}, {}
+    if "uncorrected" in methods:
+        lower, upper = wald_interval(naive, index=1, level=level)
+        estimates["uncorrected"] = list(zip(inputs.slope.tolist(), lower.tolist(),
+                                            upper.tolist()))
+    if "rc" in methods:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # tau2 >= V: NaN
+            rc = np.where(inputs.v > tau2, _rc_estimate(inputs, tau2)[0], np.nan)
+        estimates["rc"] = rc.tolist()
+    if "simex" in methods:
+        simex, simex_errors = _simex_estimates(inputs, tau2, simex_config, simex_seeds)
+        estimates["simex"] = simex.tolist()
+    rows = []
+    for r, data in enumerate(datasets):
+        row = {}
+        if "uncorrected" in methods:
+            row["uncorrected"] = estimates["uncorrected"][r]
+        for method in CORRECTION_METHODS:
+            if method not in methods:
+                continue
+            if method == "simex" and r in simex_errors:
+                raise simex_errors[r]
+            estimate = estimates[method][r]
+            if math.isnan(estimate):  # only RC can be infeasible
+                row[method] = "infeasible"
+                continue
+            lower = upper = math.nan
+            if n_boot:
+                try:
+                    lower, upper = bootstrap_ci(
+                        data, spec, method, tau2_values[r], simex_config,
+                        n_boot=n_boot, level=level, seed=boot_seeds[r][method],
+                    )
+                except BootstrapError:
+                    row[method] = "bootstrap"
+                    continue
+            row[method] = (estimate, lower, upper)
+        rows.append(row)
+    return rows
+
+
+def _run_block(job) -> list[dict]:
+    """Analyse repetitions ``start`` to ``stop`` as one block.
+
+    A block whose preparation raises (a rank-deficient design, say) is
+    analysed again one repetition at a time, so each repetition fails or
+    raises as it would alone.  A lone repetition with a rank-deficient design
+    fails every selected correction, or raises when the uncorrected analysis,
+    which has no other fit, was requested.
+    """
+    cfg, start, stop, methods, n_boot, level, simex_config = job
+    try:
+        prepared = _prepare_block(cfg, range(start, stop), methods, n_boot)
+    except (MecalibError, ValueError) as exc:  # ValueError: an overflow, say
+        if stop - start > 1:
+            return [row for rep in range(start, stop)
+                    for row in _run_block((cfg, rep, rep + 1, *job[3:]))]
+        if isinstance(exc, SingularDesignError) and "uncorrected" not in methods:
+            return [dict.fromkeys(methods, "singular")]
+        raise
+    return _analyse_block(prepared, methods, n_boot, level, simex_config)
 
 
 def _summarize_method(method, rows, n_reps):
-    values = np.array([r for r in rows if r is not None], dtype=np.float64)
-    n_failures = n_reps - len(values)
+    values = np.array([r for r in rows if not isinstance(r, str)], dtype=np.float64)
+    failures = {reason: rows.count(reason) for reason in FAILURE_REASONS}
     if len(values) == 0:
         raise SimulationError(f"method {method!r} failed on every repetition")
     estimates = values[:, 0]
@@ -257,7 +335,8 @@ def _summarize_method(method, rows, n_reps):
     return MethodPerformance(
         method=method,
         n_reps_used=r_used,
-        n_failures=n_failures,
+        n_failures=n_reps - r_used,
+        failures=failures,
         mean_estimate=mean_estimate,
         mean_estimate_mcse=float(mcse_mean),
         bias=float(bias),
@@ -285,9 +364,13 @@ def run_scenario(
     ``n_boot=0`` skips bootstrap intervals for the corrected methods (their
     coverage is then NaN); the uncorrected analysis always gets a
     normal-theory Wald interval.  Repetitions where a correction fails are
-    excluded and counted; the scenario aborts if more than
+    excluded and counted by reason; the scenario aborts if more than
     ``max_failure_fraction`` of repetitions fail for any method.
-    Deterministic given (cfg, seed), independent of ``threads``.
+
+    Repetitions are analysed in blocks of at most ``BLOCK_REPS``: each
+    repetition still draws its dataset and seeds from its own sub-streams,
+    and its results equal those of analysing it alone.  Deterministic given
+    (cfg, seed), independent of ``threads`` and of the blocking.
     """
     unknown = set(methods) - set(METHODS)
     if unknown:
@@ -295,10 +378,10 @@ def run_scenario(
     if simex_config is None:
         simex_config = SimexConfig()
     jobs = [
-        (cfg, rep, tuple(methods), n_boot, level, simex_config)
-        for rep in range(cfg.n_reps)
+        (cfg, start, stop, tuple(methods), n_boot, level, simex_config)
+        for start, stop in _block_bounds(cfg.n_reps, threads)
     ]
-    results = parallel_map(_run_repetition, jobs, threads=threads)
+    results = [row for block in parallel_map(_run_block, jobs, threads=threads) for row in block]
 
     performances = {}
     for method in METHODS:

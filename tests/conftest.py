@@ -1,7 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mecalib import AnalysisSpec, Dataset, ScenarioConfig, generate_dataset, scenario_spec
+import mecalib.simstudy as simstudy
+from mecalib import (
+    AnalysisSpec,
+    BootstrapError,
+    Dataset,
+    InfeasibleCorrectionError,
+    ScenarioConfig,
+    SingularDesignError,
+    bootstrap_ci,
+    conditional_exposure_variance,
+    estimate_tau2_from_replicates,
+    fit_uncorrected,
+    generate_dataset,
+    scenario_spec,
+    wald_interval,
+)
+from mecalib.correct import CORRECTION_METHODS, CorrectionInputs, correction_steps
+from mecalib.util import draw_seed, substream
 
 
 @pytest.fixture
@@ -33,3 +52,56 @@ def base_scenario_dataset(n=500, rep_index=0, seed=12, **knobs):
     """One synthetic dataset drawn from the base generating mechanism."""
     cfg = ScenarioConfig(name="test", n=n, n_reps=1, seed=seed, **knobs)
     return generate_dataset(cfg, rep_index), scenario_spec(cfg.k)
+
+
+def constant_age(cfg, rep):
+    """``generate_dataset`` with age held at 30: the naive design is rank deficient."""
+    data = generate_dataset(cfg, rep)
+    values = np.array(data.values)
+    values[:, data.column_index("age")] = 30.0
+    return Dataset(data.column_names, values)
+
+
+def run_repetition(cfg, rep, methods, n_boot, level, simex_config):
+    """One simulation repetition analysed on its own, through the public API.
+
+    The reference for ``run_scenario``, which analyses repetitions in blocks.
+    Returns method -> (estimate, ci_lower, ci_upper), or the reason the method
+    failed (``"infeasible"``, ``"singular"`` or ``"bootstrap"``).  The dataset
+    comes from ``simstudy.generate_dataset``, so a test may replace it.
+    """
+    data = simstudy.generate_dataset(cfg, rep)
+    spec = scenario_spec(cfg.k)
+    tau2 = estimate_tau2_from_replicates(data, spec)
+    # seeds in a fixed order: SIMEX, then one bootstrap seed per correction method
+    rng = substream(cfg.seed, rep, 1)
+    cfg_rep = replace(simex_config, seed=draw_seed(rng))
+    boot_seeds = {method: draw_seed(rng) for method in CORRECTION_METHODS}
+    try:
+        fit = fit_uncorrected(data, spec)
+        prepared = CorrectionInputs.from_fit(fit, conditional_exposure_variance(data, spec))
+    except SingularDesignError:
+        if "uncorrected" in methods:
+            raise
+        return dict.fromkeys(methods, "singular")
+    out = {}
+    if "uncorrected" in methods:
+        out["uncorrected"] = (float(fit.coefficients[1]), *wald_interval(fit, 1, level))
+    for method in CORRECTION_METHODS:
+        if method not in methods:
+            continue
+        try:
+            estimate = correction_steps(method)[2](prepared, tau2, cfg_rep).estimate
+        except InfeasibleCorrectionError:
+            out[method] = "infeasible"
+            continue
+        lower = upper = np.nan
+        if n_boot:
+            try:
+                lower, upper = bootstrap_ci(data, spec, method, tau2, cfg_rep, n_boot=n_boot,
+                                            level=level, seed=boot_seeds[method])
+            except BootstrapError:
+                out[method] = "bootstrap"
+                continue
+        out[method] = (estimate, lower, upper)
+    return out

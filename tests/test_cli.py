@@ -262,3 +262,16 @@ def test_simulate_scenarios_file(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads((tmp_path / "out" / "summaries.json").read_text())
     assert payload[0]["scenario"]["name"] == "quick"
+
+
+@pytest.mark.parametrize("full", [(), ("--full",)])
+def test_simulate_all_runs_all_22_scenarios(tmp_path, full):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["simulate", "--scenario", "all", "--reps", "1", "--methods",
+                         "uncorrected", *full, "--out-dir", str(tmp_path)])
+    assert code == 0
+    payload = json.loads((tmp_path / "summaries.json").read_text())
+    assert len(payload) == 22
+    assert max(entry["scenario"]["n"] for entry in payload) == 10000
+    assert "/22] scenario=n_10000 " in out.getvalue()

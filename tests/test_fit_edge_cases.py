@@ -78,8 +78,8 @@ def test_fit_overflow_exits_1_without_traceback(tmp_path):
 
 # (X, y) whose coefficients or standard errors pass 1e308
 OVERFLOW_FITS = {
-    "se_no_intercept": ((np.arange(1, 6) * 1e-100)[:, None], [1e150, 3e150, 2e150, 5e150, 4e150]),
-    "se_with_intercept": (np.column_stack([np.ones(5), np.arange(1, 6) * 0.01]),
+    "se_no_intercept": ((np.arange(1, 6) * 1e-200)[:, None], [1e150, 3e150, 2e150, 5e150, 4e150]),
+    "se_with_intercept": (np.column_stack([np.ones(5), np.arange(1, 6) * 1e-160]),
                           [1e153, 3e153, 2e153, 5e153, 4e153]),
     "coefficient": ((np.arange(1, 6) * 1e-300)[:, None], [1e100, 3e100, 2e100, 5e100, 4e100]),
 }
@@ -95,7 +95,7 @@ def test_overflowing_coefficients_and_standard_errors_raise_value_error(case):
 def test_standard_error_overflow_exits_1_without_traceback(tmp_path):
     path = tmp_path / "wide.csv"
     _, y = OVERFLOW_FITS["se_with_intercept"]
-    path.write_text("y,x\n" + "".join(f"{v!r},{k / 100}\n" for k, v in enumerate(y, 1)))
+    path.write_text("y,x\n" + "".join(f"{v!r},{k * 1e-160!r}\n" for k, v in enumerate(y, 1)))
     out = tmp_path / "coefs.csv"
     proc = run_cli("fit", "--input", str(path), "--outcome", "y", "--exposure", "x",
                    "--output", str(out))

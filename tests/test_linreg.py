@@ -41,10 +41,10 @@ def svd_ols_fit(X, y):
         r_squared = 1.0 - rss / tss
     else:
         r_squared = 1.0 if rss <= 1e-30 else 0.0
-    xtx_inv_diag = np.einsum("kj,kj->j", vt / s[:, None], vt / s[:, None])
+    # sqrt(diag((X'X)^-1)) = the column norms of V' / s, which hypot cannot overflow
     return FitResult(
         coefficients=coef,
-        standard_errors=np.sqrt(residual_variance * xtx_inv_diag),
+        standard_errors=np.sqrt(residual_variance) * np.hypot.reduce(vt / s[:, None], axis=0),
         residual_variance=residual_variance,
         r_squared=r_squared,
         n=n,
@@ -256,10 +256,15 @@ def test_rank_decision_matches_svd_oracle(ratio):
             assert raises_singular(ols_fit, X, y) == expected
 
 
+def column_norms(X):
+    """Euclidean column norms of X, with no overflow or underflow on the way."""
+    scale = np.abs(X).max(axis=0)
+    return scale * np.linalg.norm(X / scale, axis=0)
+
+
 def column_scaled_lstsq(X, y):
     """lstsq on unit-norm columns, mapped back: an oracle for any column scale."""
-    norms = np.abs(X).max(axis=0)
-    norms = norms * np.linalg.norm(X / norms, axis=0)
+    norms = column_norms(X)
     coef, *_ = np.linalg.lstsq(X / norms, y, rcond=None)
     return coef / norms
 
@@ -304,3 +309,72 @@ def test_non_finite_input_raises_value_error(bad, where):
             warnings.simplefilter("error")  # no RuntimeWarning on the way
             with pytest.raises(ValueError, match="finite"):
                 ols_fit(X_bad, y_bad)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-155, 1e-100, 1e-9, 1.0, 1e9, 1e100, 1e155, 1e160])
+def test_standard_errors_at_extreme_column_scales_match_svd_oracle(scale):
+    # the exposure column in any units: no standard error under- or overflows
+    rng = np.random.default_rng(41)
+    n = 200
+    z = rng.normal(size=n)
+    age = rng.normal(32.0, 5.0, n)
+    X = np.column_stack([np.ones(n), scale * (120.0 + 7.0 * z), age])
+    y = 30.0 + 1.4 * z + 0.2 * age + rng.normal(size=n)
+    norms = column_norms(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit, oracle = ols_fit(X, y), svd_ols_fit(X / norms, y)  # the oracle on unit columns
+    assert fit.coefficients == pytest.approx(oracle.coefficients / norms, rel=1e-9)
+    assert fit.standard_errors == pytest.approx(oracle.standard_errors / norms, rel=1e-9)
+    unscaled = ols_fit(X / [1.0, scale, 1.0], y)
+    assert fit.standard_errors[1] == pytest.approx(unscaled.standard_errors[1] / scale, rel=1e-12)
+
+
+def test_design_without_columns_raises_value_error(capfd):
+    for X in (np.ones((5, 0)), np.ones((3, 5, 0))):
+        with pytest.raises(ValueError, match="p >= 1"):
+            ols_fit(X, np.arange(5.0) * np.ones(X.shape[:-1]))
+    with pytest.raises(ValueError, match="design matrix"):
+        ols_fit(np.ones(5), np.ones(5))
+    assert capfd.readouterr().err == ""
+
+
+def stack_of_designs(rng, shape, n, p):
+    X = rng.normal(50.0, 10.0, size=(*shape, n, p))
+    X[..., 0] = 1.0
+    y = np.einsum("...np,p->...n", X, rng.normal(size=p)) + rng.normal(size=(*shape, n))
+    return X, y
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (2, 3)])
+@pytest.mark.parametrize("n, p", [(4, 3), (50, 2), (500, 3)])
+def test_stacked_fit_equals_each_design_bit_for_bit(shape, n, p):
+    rng = np.random.default_rng(n + p + len(shape))
+    X, y = stack_of_designs(rng, shape, n, p)
+    y[(0,) * len(shape)] = 4.0  # a constant response among them
+    stacked = ols_fit(X, y)
+    assert stacked.coefficients.shape == stacked.standard_errors.shape == (*shape, p)
+    assert stacked.residual_variance.shape == stacked.r_squared.shape == shape
+    assert (stacked.n, stacked.p) == (n, p)
+    lower, upper = wald_interval(stacked, 1, 0.9)
+    for index in np.ndindex(*shape):
+        alone = ols_fit(X[index], y[index])
+        assert np.array_equal(stacked.coefficients[index], alone.coefficients)
+        assert np.array_equal(stacked.standard_errors[index], alone.standard_errors)
+        assert stacked.residual_variance[index] == alone.residual_variance
+        assert stacked.r_squared[index] == alone.r_squared
+        assert (lower[index], upper[index]) == wald_interval(alone, 1, 0.9)
+
+
+def test_stacked_fit_raises_if_any_design_would():
+    rng = np.random.default_rng(8)
+    X, y = stack_of_designs(rng, (4,), 30, 3)
+    X[2, :, 2] = 2.0 * X[2, :, 1]
+    with pytest.raises(SingularDesignError, match="rank deficient"):
+        ols_fit(X, y)
+    X[2, :, 2] = rng.normal(size=30)
+    y[3, 5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        ols_fit(X, y)
+    with pytest.raises(ValueError, match="y has shape"):
+        ols_fit(X, y[:3])

@@ -4,7 +4,8 @@
 only the per-tau2 step per draw; every draw must equal a fresh full
 correction at its tau2 bit for bit, or be infeasible where that call raises.
 A simulation repetition shares one preparation between the uncorrected,
-RC and SIMEX analyses and must equal separate calls to each of them.
+RC and SIMEX analyses and must equal separate calls to each of them; the
+study analyses a block of repetitions with two stacked fits, whatever its size.
 """
 
 import json
@@ -18,7 +19,6 @@ import mecalib.linreg as linreg
 import mecalib.simstudy as simstudy
 from mecalib import (
     BootstrapError,
-    Dataset,
     ErrorVariance,
     ErrorVarianceDistribution,
     InfeasibleCorrectionError,
@@ -39,10 +39,10 @@ from mecalib import (
 from mecalib.correct import correction_steps, corrector_for
 from mecalib.data import write_csv
 from mecalib.sensitivity import _draw_rng
-from mecalib.simstudy import METHODS, _run_repetition, scenario_grid
+from mecalib.simstudy import BLOCK_REPS, METHODS, run_scenario, scenario_grid
 from mecalib.util import draw_seed, substream
 
-from conftest import base_scenario_dataset
+from conftest import base_scenario_dataset, constant_age, run_repetition
 
 
 def fresh_draws(data, spec, method, result, simex_config, seed):
@@ -164,7 +164,7 @@ def test_correct_reports_the_correctors_own_uncorrected_fit(method, flags, tmp_p
 
 
 def separate_calls(cfg, rep, n_boot, simex_config, level=0.95):
-    """``_run_repetition``'s result from fresh public calls, one analysis at a time."""
+    """``run_repetition``'s result from fresh public calls, one analysis at a time."""
     data = generate_dataset(cfg, rep)
     spec = scenario_spec(cfg.k)
     tau2 = estimate_tau2_from_replicates(data, spec)
@@ -181,8 +181,10 @@ def separate_calls(cfg, rep, n_boot, simex_config, level=0.95):
                 lower, upper = bootstrap_ci(data, spec, method, tau2, cfg_rep, n_boot=n_boot,
                                             level=level, seed=boot_seeds[method])
             expected[method] = (estimate, lower, upper)
-        except (InfeasibleCorrectionError, BootstrapError):
-            expected[method] = None
+        except InfeasibleCorrectionError:
+            expected[method] = "infeasible"
+        except BootstrapError:
+            expected[method] = "bootstrap"
     return expected
 
 
@@ -192,36 +194,37 @@ def test_repetition_equals_separate_analyses(name, n_boot):
     (cfg,) = [c for c in scenario_grid(n_reps=3, seed=7) if c.name == name]
     simex_config = SimexConfig(n_sim=20)
     for rep in range(cfg.n_reps):
-        got = _run_repetition((cfg, rep, METHODS, n_boot, 0.95, simex_config))
+        got = run_repetition(cfg, rep, METHODS, n_boot, 0.95, simex_config)
         expected = separate_calls(cfg, rep, n_boot, simex_config)
         assert got.keys() == expected.keys()
         for method, row in expected.items():
-            if row is None:
-                assert got[method] is None, (name, rep, method)
+            if isinstance(row, str):
+                assert got[method] == row, (name, rep, method)
             else:
                 assert np.array_equal(got[method], row, equal_nan=True), (name, rep, method)
 
 
 def test_repetition_fits_twice(monkeypatch):
-    # the naive fit and the calibration fit serve all three analyses
+    # a block's naive and calibration fits serve all three analyses of every
+    # repetition in it: two ols_fit calls per block, whatever its size
     fits = counting(monkeypatch, linreg, "ols_fit")
     counting(monkeypatch, correct, "ols_fit", fits)
-    cfg = replace(scenario_grid(n_reps=1)[0], n=200)
-    out = _run_repetition((cfg, 0, METHODS, 0, 0.95, SimexConfig(n_sim=10)))
-    assert all(out[method] is not None for method in METHODS)
-    assert len(fits) == 2
+    counting(monkeypatch, simstudy, "ols_fit", fits)
+    base = replace(scenario_grid(n_reps=1)[0], n=200)
+    for n_reps in (1, 2, BLOCK_REPS, BLOCK_REPS + 3):
+        fits.clear()
+        summary = run_scenario(replace(base, n_reps=n_reps), simex_config=SimexConfig(n_sim=10))
+        assert all(perf.n_failures == 0 for perf in summary.methods.values())
+        assert len(fits) == 2 * -(-n_reps // BLOCK_REPS), n_reps
 
 
 def test_singular_repetition_fails_as_before(monkeypatch):
-    def constant_age(cfg, rep):
-        data = generate_dataset(cfg, rep)
-        values = np.array(data.values)
-        values[:, data.column_index("age")] = 30.0
-        return Dataset(data.column_names, values)
-
     monkeypatch.setattr(simstudy, "generate_dataset", constant_age)
     cfg = replace(scenario_grid(n_reps=1)[0], n=50)
     rest = (0, 0.95, SimexConfig(n_sim=5))
     with pytest.raises(SingularDesignError):
-        _run_repetition((cfg, 0, METHODS, *rest))
-    assert _run_repetition((cfg, 0, ("rc", "simex"), *rest)) == {"rc": None, "simex": None}
+        run_repetition(cfg, 0, METHODS, *rest)
+    assert run_repetition(cfg, 0, ("rc", "simex"), *rest) == {"rc": "singular",
+                                                               "simex": "singular"}
+    with pytest.raises(SingularDesignError):
+        run_scenario(replace(cfg, n_reps=3), simex_config=rest[2])

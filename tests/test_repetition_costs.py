@@ -42,12 +42,11 @@ def run_python(*args):
 
 def per_lambda_loop(prepared, tau2, cfg):
     """The lambda map one lambda at a time, as the study computed it before."""
-    fit, v = prepared
-    uncorrected = float(fit.coefficients[1])
-    df = fit.n - fit.p
+    uncorrected, residual_variance, v, n, p = prepared
+    df = n - p
     a = math.sqrt(v * (df + 1))
     b = uncorrected * a
-    c = math.sqrt(fit.residual_variance * df)
+    c = math.sqrt(residual_variance * df)
     rest_df = df - 1
     estimates = {0.0: uncorrected}
     for i, lam in enumerate(cfg.lambda_grid[1:], start=1):
