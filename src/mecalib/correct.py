@@ -198,31 +198,35 @@ def prepare_correction(data: Dataset, spec: AnalysisSpec) -> CorrectionInputs:
                                      conditional_exposure_variance(data, spec))
 
 
-def _rc_estimate(prepared: CorrectionInputs, tau2):
-    """Regression calibration's (estimate, factor), scalars or elementwise on arrays.
+def rc_estimates(prepared: CorrectionInputs, tau2):
+    """Regression calibration of one dataset or of many: estimates, factors and feasibility.
 
-    The factor is V / (V - tau2); the caller decides feasibility (tau2 < V).
+    ``prepared`` and ``tau2`` hold scalars, or arrays with one entry per
+    dataset.  The factor is V / (V - tau2) and the estimate the naive slope
+    times it.  The third result is True where tau2 < V; elsewhere no finite
+    correction exists, and the dataset's estimate and factor mean nothing.
     """
-    factor = prepared.v / (prepared.v - tau2)
-    return prepared.slope * factor, factor
+    v = np.asarray(prepared.v, dtype=np.float64)[()]  # a NumPy scalar for one dataset
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        factor = v / (v - tau2)
+        return prepared.slope * factor, factor, v > tau2
 
 
 def _apply_rc(prepared: CorrectionInputs, tau2: ErrorVariance, cfg=None) -> CorrectionResult:
     """Per-tau2 part of regression calibration: the closed-form factor V / (V - tau2)."""
-    v = prepared.v
-    if v <= tau2.tau2:
+    estimate, factor, feasible = rc_estimates(prepared, tau2.tau2)
+    if not feasible:
         raise InfeasibleCorrectionError(
             f"infeasible correction: tau2 ({tau2.tau2:g}) >= "
-            f"conditional exposure variance ({v:g})"
+            f"conditional exposure variance ({prepared.v:g})"
         )
-    estimate, factor = _rc_estimate(prepared, tau2.tau2)
     return CorrectionResult(
         method="rc",
-        estimate=estimate,
+        estimate=float(estimate),
         diagnostics={
             "uncorrected_estimate": prepared.slope,
-            "conditional_exposure_variance": v,
-            "correction_factor": factor,
+            "conditional_exposure_variance": prepared.v,
+            "correction_factor": float(factor),
             "tau2": tau2.tau2,
         },
     )
@@ -241,13 +245,14 @@ def correct_rc(
     return _apply_rc(prepare_correction(data, spec), tau2)
 
 
-def _simex_means(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds) -> np.ndarray:
-    """Mean pseudo estimate per positive lambda: one row per seed, one column per lambda.
+def _simex_values(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds):
+    """Mean estimate at every grid lambda, one row per seed, and the datasets that overflow.
 
     ``prepared`` and ``tau2`` hold scalars or arrays with one entry per seed.
-    Row r draws grid entry i from the sub-stream (seeds[r], i); a row with
-    tau2 = 0 draws nothing and holds the naive slope.  Rows may overflow to
-    inf or NaN; the callers report it.
+    Column 0 (lambda = 0) is the naive slope; row r draws grid entry i from
+    the sub-stream (seeds[r], i), and a row with tau2 = 0 draws nothing and
+    holds the naive slope throughout.  Returns the values and a mapping from
+    the index of each row with a non-finite mean to its ``ValueError``.
     """
     rows = len(seeds)
     slope, residual_variance, v, n, p, tau2 = (
@@ -273,7 +278,9 @@ def _simex_means(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds) -> n
             if rest_df[r] > 0:
                 rest[r, i - 1] = rng.chisquare(rest_df[r], cfg.n_sim)
     z1, z2 = z[:, :, 0], z[:, :, 1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported by callers
+    values = np.empty((rows, len(cfg.lambda_grid)))
+    values[:, 0] = slope
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
         a = np.sqrt(v * (df + 1))[:, None, None]
         b = slope[:, None, None] * a
         c = np.sqrt(residual_variance * df)[:, None, None]
@@ -281,44 +288,41 @@ def _simex_means(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds) -> n
         coefs = (a * b + sd * (b * z1 + c * z2)) / (
             a * a + 2.0 * sd * a * z1 + sd * sd * (z1 * z1 + z2 * z2 + rest)
         )
-        means = coefs.mean(axis=-1)
-    return np.where((tau2 == 0.0)[:, None], slope[:, None], means)
+        values[:, 1:] = np.where((tau2 == 0.0)[:, None], slope[:, None], coefs.mean(axis=-1))
+    errors = {
+        r: ValueError(f"SIMEX pseudo estimates overflow float64 at tau2={tau2[r]:g}; "
+                      "rescale the exposure or lower tau2")
+        for r in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist()
+    }
+    return values, errors
 
 
-def _simex_overflow(tau2: float, means_finite: bool) -> ValueError:
-    if not means_finite:
-        return ValueError(
-            f"SIMEX pseudo estimates overflow float64 at tau2={tau2:g}; "
-            "rescale the exposure or lower tau2"
-        )
-    return ValueError(f"SIMEX extrapolation overflows float64 at tau2={tau2:g}")
+def simex_estimates(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds):
+    """SIMEX of one dataset or of many: estimates, lambda values and failures.
+
+    Dataset r is simulated from ``seeds[r]``; ``prepared`` and ``tau2`` hold
+    scalars or arrays with one entry per seed.  Returns the estimates at
+    lambda = -1, the (datasets, grid) array of mean estimates per lambda, and
+    a mapping from the index of each dataset whose means or estimate are not
+    finite to the ``ValueError`` it fails with.
+    """
+    values, errors = _simex_values(prepared, tau2, cfg, seeds)
+    _, at_minus_one = _extrapolation_weights(cfg.lambda_grid, EXTRAPOLANT_DEGREE[cfg.extrapolant])
+    estimates = _weighted_sum(values, at_minus_one)
+    tau2 = np.broadcast_to(tau2, estimates.shape)
+    for r in np.flatnonzero(~np.isfinite(estimates)).tolist():
+        errors.setdefault(r, ValueError(
+            f"SIMEX extrapolation overflows float64 at tau2={tau2[r]:g}"))
+    return estimates, values, errors
 
 
 def _simulate_lambdas(prepared: CorrectionInputs, tau2: ErrorVariance,
                       cfg: SimexConfig) -> dict:
     """Per-tau2 simulation step of SIMEX on a prepared dataset."""
-    means = _simex_means(prepared, tau2.tau2, cfg, (cfg.seed,))[0].tolist()
-    if not all(map(math.isfinite, means)):
-        raise _simex_overflow(tau2.tau2, means_finite=False)
-    return dict(zip(cfg.lambda_grid, [prepared.slope, *means]))
-
-
-def _simex_estimates(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds):
-    """SIMEX estimates of a block of datasets, and the overflow error of each failed one.
-
-    Dataset r is seeded ``seeds[r]``; its estimate equals that of
-    ``_apply_simex`` with ``cfg`` so seeded, bit for bit.  Returns the
-    estimates and a mapping from the index of each dataset whose lambda means
-    or estimate are not finite to the ``ValueError`` that path raises.
-    """
-    values = np.column_stack([np.broadcast_to(prepared.slope, (len(seeds),)),
-                              _simex_means(prepared, tau2, cfg, seeds)])
-    _, at_minus_one = _extrapolation_weights(cfg.lambda_grid, EXTRAPOLANT_DEGREE[cfg.extrapolant])
-    estimates = _weighted_sum(values, at_minus_one)
-    means_finite = np.isfinite(values).all(axis=1)
-    failed = np.flatnonzero(~(means_finite & np.isfinite(estimates)))
-    tau2 = np.broadcast_to(tau2, (len(seeds),))
-    return estimates, {int(r): _simex_overflow(float(tau2[r]), means_finite[r]) for r in failed}
+    values, errors = _simex_values(prepared, tau2.tau2, cfg, (cfg.seed,))
+    if errors:
+        raise errors[0]
+    return dict(zip(cfg.lambda_grid, values[0].tolist()))
 
 
 def simex_estimates_per_lambda(
@@ -386,34 +390,30 @@ def _extrapolation_weights(lambdas: tuple[float, ...], degree: int):
     return weights, (-1.0) ** np.arange(degree + 1) @ weights
 
 
-def _simex_result(per_lambda: dict, tau2: ErrorVariance, cfg: SimexConfig) -> CorrectionResult:
-    """Extrapolation step of SIMEX and its diagnostics."""
-    estimate, coefficients = extrapolate(per_lambda, cfg.extrapolant)
-    if not math.isfinite(estimate):
-        raise _simex_overflow(tau2.tau2, means_finite=True)
-    return CorrectionResult(
-        method="simex",
-        estimate=estimate,
-        diagnostics={
-            "lambda_estimates": per_lambda,
-            "extrapolant": cfg.extrapolant,
-            "extrapolant_coefficients": tuple(float(c) for c in coefficients),
-            "tau2": tau2.tau2,
-        },
-    )
-
-
 def _apply_simex(prepared: CorrectionInputs, tau2: ErrorVariance,
                  cfg: SimexConfig) -> CorrectionResult:
     """Per-tau2 part of SIMEX: simulate on the prepared numbers, then extrapolate."""
-    return _simex_result(_simulate_lambdas(prepared, tau2, cfg), tau2, cfg)
+    estimates, values, errors = simex_estimates(prepared, tau2.tau2, cfg, (cfg.seed,))
+    if errors:
+        raise errors[0]
+    weights, _ = _extrapolation_weights(cfg.lambda_grid, EXTRAPOLANT_DEGREE[cfg.extrapolant])
+    return CorrectionResult(
+        method="simex",
+        estimate=float(estimates[0]),
+        diagnostics={
+            "lambda_estimates": dict(zip(cfg.lambda_grid, values[0].tolist())),
+            "extrapolant": cfg.extrapolant,
+            "extrapolant_coefficients": tuple((weights @ values[0]).tolist()),
+            "tau2": tau2.tau2,
+        },
+    )
 
 
 def correct_simex(
     data: Dataset, spec: AnalysisSpec, tau2: ErrorVariance, cfg: SimexConfig
 ) -> CorrectionResult:
     """Full simulation-extrapolation correction (simulate, then extrapolate)."""
-    return _simex_result(simex_estimates_per_lambda(data, spec, tau2, cfg), tau2, cfg)
+    return _apply_simex(prepare_correction(data, spec), tau2, cfg)
 
 
 def correction_steps(method: str) -> tuple:

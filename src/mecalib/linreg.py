@@ -75,13 +75,6 @@ def _finite(*values) -> bool:
     return True
 
 
-def _raise_rank_deficient(ratio: float):
-    raise SingularDesignError(
-        f"design matrix is rank deficient (singular value ratio of the "
-        f"unit-norm columns {ratio:.3e} < {RANK_TOLERANCE:g})"
-    )
-
-
 def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     """Least-squares fit of ``y`` on the columns of ``X``, or of each of a stack of designs.
 
@@ -138,24 +131,22 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
         top[..., j + 1 :, j] = 0.0
     r = top[..., :p, :p]
     norms = np.hypot.reduce(r, axis=-2)  # those of X's columns; hypot cannot overflow
-    if 0.0 in norms.ravel().tolist():  # a zero column
-        _raise_rank_deficient(0.0)
     r_inv = np.empty((*batch, p, p))
-    zero_pivots = []  # dtrtri leaves such an R as it is
     for d in designs:
-        r_inv[d], info = lapack.dtrtri(r[d])
-        if info:
-            zero_pivots.append(d)
+        ratio = 0.0  # a zero column
+        if 0.0 not in norms[d].tolist():  # p is small
+            _, s, _ = _lapack(lapack.dgesdd, r[d] / norms[d], compute_uv=0)
+            ratio = s[-1] / s[0]
+        if not ratio >= RANK_TOLERANCE:
+            raise SingularDesignError(
+                f"design matrix is rank deficient (singular value ratio of the "
+                f"unit-norm columns {ratio:.3e} < {RANK_TOLERANCE:g})"
+            )
+        (r_inv[d],) = _lapack(lapack.dtrtri, r[d])
     residual_norm = top[..., p, p]  # per design: a scalar for one design
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
         # sqrt(diag((X'X)^-1)) = sqrt(diag(R^-1 R^-T)): the row norms of R^-1.
         inverse_row_norms = np.hypot.reduce(r_inv, axis=-1)
-        # Rank test on U = R / norms, whose columns have unit norm: sigma_max(U)
-        # <= sqrt(p) and 1 / sigma_min(U) <= ||U^-1||_F, the rows of U^-1 being
-        # norms_i R^-1_i.  A small ||U^-1||_F so certifies a singular value ratio
-        # of at least twice RANK_TOLERANCE; other designs take an SVD of U.
-        certified = (np.hypot.reduce(norms * inverse_row_norms, axis=-1)
-                     <= 0.5 / (RANK_TOLERANCE * math.sqrt(p)))
         rss = residual_norm * residual_norm
         residual_variance = rss / (n - p)
         coef = (r_inv @ top[..., :p, p:])[..., 0]
@@ -170,12 +161,6 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
         constant = tss <= cut
         if True in constant.ravel().tolist():
             r_squared = np.where(constant, rss <= cut, r_squared)[()]
-    for d, sure in zip(designs, certified.ravel().tolist()):
-        if not sure or d in zero_pivots:
-            _, s, _ = _lapack(lapack.dgesdd, r[d] / norms[d], compute_uv=0)
-            ratio = s[-1] / s[0]
-            if not ratio >= RANK_TOLERANCE:
-                _raise_rank_deficient(ratio)
     if not _finite(rss, tss, coef, standard_errors):
         if not _finite(rss, tss):
             raise ValueError("sum of squares of y overflows float64; rescale y")

@@ -33,10 +33,10 @@ from .correct import (
     CORRECTION_METHODS,
     CorrectionInputs,
     SimexConfig,
-    _rc_estimate,
-    _simex_estimates,
     bootstrap_ci,
     estimate_tau2_from_replicates,
+    rc_estimates,
+    simex_estimates,
 )
 from .data import AnalysisSpec, Dataset
 from .errors import BootstrapError, MecalibError, SimulationError, SingularDesignError
@@ -245,17 +245,18 @@ def _analyse_block(prepared, methods, n_boot: int, level: float, simex_config: S
     spec, datasets, tau2_values, simex_seeds, boot_seeds, naive, calibration = prepared
     inputs = CorrectionInputs.from_fit(naive, calibration.residual_variance)
     tau2 = np.array([value.tau2 for value in tau2_values])
-    estimates, simex_errors = {}, {}
+    # method -> {repetition: its failure reason, or the error that aborts the study}
+    estimates, failures = {}, {}
     if "uncorrected" in methods:
         lower, upper = wald_interval(naive, index=1, level=level)
         estimates["uncorrected"] = list(zip(inputs.slope.tolist(), lower.tolist(),
                                             upper.tolist()))
     if "rc" in methods:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # tau2 >= V: NaN
-            rc = np.where(inputs.v > tau2, _rc_estimate(inputs, tau2)[0], np.nan)
+        rc, _, feasible = rc_estimates(inputs, tau2)
         estimates["rc"] = rc.tolist()
+        failures["rc"] = dict.fromkeys(np.flatnonzero(~feasible).tolist(), "infeasible")
     if "simex" in methods:
-        simex, simex_errors = _simex_estimates(inputs, tau2, simex_config, simex_seeds)
+        simex, _, failures["simex"] = simex_estimates(inputs, tau2, simex_config, simex_seeds)
         estimates["simex"] = simex.tolist()
     rows = []
     for r, data in enumerate(datasets):
@@ -265,12 +266,13 @@ def _analyse_block(prepared, methods, n_boot: int, level: float, simex_config: S
         for method in CORRECTION_METHODS:
             if method not in methods:
                 continue
-            if method == "simex" and r in simex_errors:
-                raise simex_errors[r]
-            estimate = estimates[method][r]
-            if math.isnan(estimate):  # only RC can be infeasible
-                row[method] = "infeasible"
+            failure = failures[method].get(r)
+            if isinstance(failure, Exception):  # a SIMEX overflow
+                raise failure
+            if failure is not None:
+                row[method] = failure
                 continue
+            estimate = estimates[method][r]
             lower = upper = math.nan
             if n_boot:
                 try:

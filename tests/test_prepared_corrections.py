@@ -135,6 +135,35 @@ def test_prepared_step_equals_corrector(method):
         assert apply(prepared, ErrorVariance(tau2), cfg) == fresh
 
 
+def test_array_steps_equal_each_dataset_alone():
+    # dataset 1: tau2 >= V, so RC is infeasible and SIMEX overflows; dataset 2: tau2 = 0
+    inputs = correct.CorrectionInputs(slope=np.array([0.15, 0.2, 0.1]),
+                                      residual_variance=np.array([90.0, 100.0, 110.0]),
+                                      v=np.array([80.0, 30.0, 50.0]), n=200, p=3)
+    tau2 = np.array([30.0, 1e308, 0.0])
+    cfg = SimexConfig(n_sim=15)
+    seeds = (5, 6, 7)
+    rc, _, feasible = correct.rc_estimates(inputs, tau2)
+    simex, _, simex_errors = correct.simex_estimates(inputs, tau2, cfg, seeds)
+    assert feasible.tolist() == [True, False, True] and list(simex_errors) == [1]
+    for r in range(3):
+        alone = correct.CorrectionInputs(float(inputs.slope[r]),
+                                         float(inputs.residual_variance[r]),
+                                         float(inputs.v[r]), 200, 3)
+        cfg_r = replace(cfg, seed=seeds[r])
+        if feasible[r]:
+            assert correct._apply_rc(alone, ErrorVariance(tau2[r])).estimate == rc[r]
+        else:
+            with pytest.raises(InfeasibleCorrectionError):
+                correct._apply_rc(alone, ErrorVariance(tau2[r]))
+        if r in simex_errors:
+            with pytest.raises(ValueError) as raised:
+                correct._apply_simex(alone, ErrorVariance(tau2[r]), cfg_r)
+            assert str(raised.value) == str(simex_errors[r])
+        else:
+            assert correct._apply_simex(alone, ErrorVariance(tau2[r]), cfg_r).estimate == simex[r]
+
+
 def test_correction_steps_reject_unknown_method():
     with pytest.raises(ValueError, match="corrector must be one of"):
         correction_steps("naive")
