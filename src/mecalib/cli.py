@@ -26,6 +26,7 @@ from .correct import (
     correction_steps,
     estimate_tau2_from_replicates,
     fit_uncorrected,
+    prepare_correction,
 )
 from .data import AnalysisSpec, load_csv
 from .errors import MecalibError
@@ -52,6 +53,13 @@ def _n_boot(text: str) -> int:
     value = int(text)
     if value != 0 and value < MIN_BOOT:
         raise argparse.ArgumentTypeError(f"must be 0 or at least {MIN_BOOT}, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -117,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--level", type=_level, default=0.95, help="confidence level, in (0, 1)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for all randomized steps")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker processes for independent work units")
 
     p_fit = sub.add_parser("fit", formatter_class=fmt,
@@ -163,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario name from the built-in grid, or 'all'")
     p_sim.add_argument("--scenarios-file",
                        help="JSON file with custom scenarios (overrides --scenario)")
-    p_sim.add_argument("--reps", type=int, help="override repetitions per scenario")
+    p_sim.add_argument("--reps", type=_positive_int, help="override repetitions per scenario")
     p_sim.add_argument("--methods", type=_comma_list, default=METHODS,
                        help="comma-separated subset of " + ",".join(METHODS))
     p_sim.add_argument("--full", action="store_true",
@@ -227,8 +235,8 @@ def _cmd_fit(args, parser) -> int:
 def _cmd_correct(args, parser) -> int:
     data, spec, tau2 = _analysis_inputs(args, parser)
     cfg = _simex_config(args)
-    _, prepare, apply = correction_steps(args.method)
-    prepared = prepare(data, spec)  # the corrector's own naive fit, reported as uncorrected
+    _, apply = correction_steps(args.method)
+    prepared = prepare_correction(data, spec)  # its naive fit is reported as uncorrected
     result = apply(prepared, tau2, cfg)
     uncorrected = prepared.slope
     if args.n_boot:
@@ -236,7 +244,7 @@ def _cmd_correct(args, parser) -> int:
             data, spec, args.method, tau2, cfg,
             n_boot=args.n_boot, level=args.level, seed=args.seed, threads=args.threads,
         )
-        result = result.with_ci(lower, upper)
+        result = replace(result, ci_lower=lower, ci_upper=upper)
 
     rows = [
         ("uncorrected", _num(uncorrected, 8), "-", "-"),
@@ -327,13 +335,13 @@ def _select_scenarios(args, parser):
                              f"choose from: {names}")
             scenarios = matches
     if args.reps is not None:
-        if args.reps < 1:
-            parser.error(f"simulate: --reps must be at least 1, got {args.reps}")
         scenarios = [replace(cfg, n_reps=args.reps) for cfg in scenarios]
     return scenarios
 
 
 def _cmd_simulate(args, parser) -> int:
+    if not args.methods:
+        parser.error("simulate: --methods must name at least one method")
     for method in args.methods:
         if method not in METHODS:
             parser.error(f"simulate: unknown method {method!r}")

@@ -35,7 +35,7 @@ from .errors import (
     InsufficientReplicatesError,
     SingularDesignError,
 )
-from .linreg import FitResult, ols_fit, residual_variance_of
+from .linreg import FitResult, ols_fit
 from .util import draw_seed, parallel_map, require_integers, substream
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -129,9 +129,6 @@ class CorrectionResult:
                 f"ci_lower ({self.ci_lower}) must not exceed ci_upper ({self.ci_upper})"
             )
 
-    def with_ci(self, ci_lower: float, ci_upper: float) -> "CorrectionResult":
-        return replace(self, ci_lower=ci_lower, ci_upper=ci_upper)
-
 
 def estimate_tau2_from_replicates(data: Dataset, spec: AnalysisSpec) -> ErrorVariance:
     """Estimate the error variance as the average within-row replicate variance.
@@ -164,7 +161,7 @@ def conditional_exposure_variance(data: Dataset, spec: AnalysisSpec) -> float:
     this is simply the sample variance of X*.
     """
     covariates = design_matrix(data, None, spec.covariates)
-    return residual_variance_of(covariates, data.column(spec.exposure))
+    return ols_fit(covariates, data.column(spec.exposure)).residual_variance
 
 
 class CorrectionInputs(NamedTuple):
@@ -192,10 +189,19 @@ class CorrectionInputs(NamedTuple):
                    naive.n, naive.p)
 
 
+def correction_fits(X: np.ndarray, y: np.ndarray) -> tuple[FitResult, FitResult]:
+    """The naive fit on [1, x*, covariates] and the calibration fit of x* on the rest.
+
+    ``X`` and ``y`` hold one design or a stack of them, as for :func:`ols_fit`.
+    """
+    return ols_fit(X, y), ols_fit(np.concatenate((X[..., :1], X[..., 2:]), axis=-1), X[..., 1])
+
+
 def prepare_correction(data: Dataset, spec: AnalysisSpec) -> CorrectionInputs:
     """The tau2-free part of every correction: the naive fit and V, as five numbers."""
-    return CorrectionInputs.from_fit(fit_uncorrected(data, spec),
-                                     conditional_exposure_variance(data, spec))
+    naive, calibration = correction_fits(
+        design_matrix(data, spec.exposure, spec.covariates), data.column(spec.outcome))
+    return CorrectionInputs.from_fit(naive, calibration.residual_variance)
 
 
 def rc_estimates(prepared: CorrectionInputs, tau2):
@@ -240,7 +246,7 @@ def correct_rc(
     Feasibility requires tau2 < V; otherwise the assumed error variance
     explains all (or more than) the observed conditional variance of the
     proxy and no finite correction exists.  ``cfg`` is ignored; it is there
-    so that every corrector has the signature of :func:`corrector_for`.
+    so that both correctors share the signature ``(data, spec, tau2, cfg)``.
     """
     return _apply_rc(prepare_correction(data, spec), tau2)
 
@@ -316,15 +322,6 @@ def simex_estimates(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds):
     return estimates, values, errors
 
 
-def _simulate_lambdas(prepared: CorrectionInputs, tau2: ErrorVariance,
-                      cfg: SimexConfig) -> dict:
-    """Per-tau2 simulation step of SIMEX on a prepared dataset."""
-    values, errors = _simex_values(prepared, tau2.tau2, cfg, (cfg.seed,))
-    if errors:
-        raise errors[0]
-    return dict(zip(cfg.lambda_grid, values[0].tolist()))
-
-
 def simex_estimates_per_lambda(
     data: Dataset, spec: AnalysisSpec, tau2: ErrorVariance, cfg: SimexConfig
 ) -> dict[float, float]:
@@ -339,7 +336,10 @@ def simex_estimates_per_lambda(
     and one chi-square per pseudo dataset.  Grid entry i draws from the RNG
     sub-stream (cfg.seed, i), so the result is reproducible bit for bit.
     """
-    return _simulate_lambdas(prepare_correction(data, spec), tau2, cfg)
+    values, errors = _simex_values(prepare_correction(data, spec), tau2.tau2, cfg, (cfg.seed,))
+    if errors:
+        raise errors[0]
+    return dict(zip(cfg.lambda_grid, values[0].tolist()))
 
 
 def extrapolate(points: Mapping[float, float], extrapolant: str = "quadratic"):
@@ -417,22 +417,15 @@ def correct_simex(
 
 
 def correction_steps(method: str) -> tuple:
-    """``(corrector, prepare, apply)`` of ``method``, from the module's current bindings.
+    """``(corrector, apply)`` of ``method``, from the module's current bindings.
 
-    ``corrector(data, spec, tau2, cfg) == apply(prepare(data, spec), tau2, cfg)``:
-    ``prepare`` is :func:`prepare_correction` for every method, ``apply`` the
-    per-tau2 step.
+    ``corrector(data, spec, tau2, cfg) == apply(prepare_correction(data, spec), tau2, cfg)``:
+    ``apply`` is the per-tau2 step.
     """
     steps = dict(zip(CORRECTION_METHODS, ((correct_rc, _apply_rc), (correct_simex, _apply_simex))))
     if method not in steps:
         raise ValueError(f"corrector must be one of {CORRECTION_METHODS}, got {method!r}")
-    corrector, apply = steps[method]
-    return corrector, prepare_correction, apply
-
-
-def corrector_for(method: str):
-    """The correction function ``(data, spec, tau2, cfg) -> CorrectionResult`` of ``method``."""
-    return correction_steps(method)[0]
+    return steps[method]
 
 
 def _bootstrap_replicate(
@@ -491,7 +484,7 @@ def bootstrap_ci(
         raise ValueError(f"n_boot must be at least {MIN_BOOT}, got {n_boot}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    correct = corrector_for(corrector)
+    correct, _ = correction_steps(corrector)
     # SIMEX is the one randomized corrector; RC ignores cfg, so its replicates
     # get None and skip the per-replicate reseed.
     randomized = corrector == "simex"

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .util import write_csv_rows
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,6 @@ class Dataset:
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
 
     def column_index(self, name: str) -> int:
         try:
@@ -203,15 +198,6 @@ def load_csv(path: str | os.PathLike, spec: AnalysisSpec) -> Dataset:
     for name in spec.all_columns():
         data.column_index(name)
     return data
-
-
-def write_csv(data: Dataset, path: str | os.PathLike) -> None:
-    """Write a Dataset as CSV with 17 significant digits per value.
-
-    Reloading the file reproduces the in-memory values bit for bit.  The file
-    is written atomically.
-    """
-    write_csv_rows(path, data.column_names, data.values)
 
 
 def design_matrix(data: Dataset, exposure_col: str | None, covariates=()) -> np.ndarray:

@@ -180,15 +180,6 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     )
 
 
-def residual_variance_of(X: np.ndarray, v: np.ndarray) -> float:
-    """Residual variance of ``v`` regressed on the columns of ``X``.
-
-    With an intercept-only X this is the unbiased sample variance of ``v``;
-    with covariates it is the conditional variance of ``v`` given them.
-    """
-    return ols_fit(X, v).residual_variance
-
-
 def wald_interval(fit: FitResult, index: int = 1, level: float = 0.95):
     """Normal-theory t interval for one coefficient of an OLS fit.
 

@@ -17,7 +17,8 @@ from statistics import median
 
 import numpy as np
 
-from .correct import ErrorVariance, SimexConfig, bootstrap_ci, correction_steps
+from .correct import (ErrorVariance, SimexConfig, bootstrap_ci, correction_steps,
+                      prepare_correction)
 from .data import AnalysisSpec, Dataset
 from .errors import InfeasibleCorrectionError
 from .util import draw_seed, parallel_map, substream, write_csv_rows, write_json
@@ -80,55 +81,37 @@ class ErrorVarianceDistribution:
         return out
 
 
-def uniform_inverse_cdf(u, low: float, high: float):
-    return low + (high - low) * np.asarray(u, dtype=np.float64)
+def trapezoidal_inverse_cdf(u, low: float, lower_mode: float, upper_mode: float, high: float):
+    """Quantile function of the trapezoidal distribution (ramp, plateau, ramp).
 
-
-def triangular_inverse_cdf(u, low: float, mode: float, high: float):
-    """Quantile function of the triangular distribution.
-
-    Below the mode the CDF is (x-low)^2 / ((high-low)(mode-low)); above it is
-    1 - (high-x)^2 / ((high-low)(high-mode)); both invert with a square root.
+    The plateau density is 1 / h, h half the support width plus half the
+    plateau width; h stays finite for every finite support.  Each ramp doubles
+    its own width, not h, so a flat ramp gives 0 even where 2h overflows.
     """
     u = np.asarray(u, dtype=np.float64)
     if high == low:
         return np.full_like(u, low)
-    span = high - low
-    split = (mode - low) / span  # CDF value at the mode
-    with np.errstate(invalid="ignore"):
-        rising = low + np.sqrt(u * span * (mode - low))
-        falling = high - np.sqrt((1.0 - u) * span * (high - mode))
-    return np.where(u < split, rising, falling)
-
-
-def trapezoidal_inverse_cdf(u, low: float, lower_mode: float, upper_mode: float, high: float):
-    """Quantile function of the trapezoidal distribution (ramp, plateau, ramp)."""
-    u = np.asarray(u, dtype=np.float64)
-    if high == low:
-        return np.full_like(u, low)
-    height = 2.0 / (high + upper_mode - lower_mode - low)  # plateau density
-    cdf_lower = 0.5 * height * (lower_mode - low)
-    cdf_upper = cdf_lower + height * (upper_mode - lower_mode)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rising = low + np.sqrt(2.0 * u * (lower_mode - low) / height)
-        plateau = lower_mode + (u - cdf_lower) / height
-        falling = high - np.sqrt(2.0 * (1.0 - u) * (high - upper_mode) / height)
+    h = (high - low) / 2.0 + (upper_mode - lower_mode) / 2.0
+    cdf_lower = (lower_mode - low) / h / 2.0
+    cdf_upper = cdf_lower + (upper_mode - lower_mode) / h
+    rising = low + np.sqrt(u * h * (2.0 * (lower_mode - low)))
+    plateau = lower_mode + (u - cdf_lower) * h
+    falling = high - np.sqrt((1.0 - u) * h * (2.0 * (high - upper_mode)))
     return np.select([u < cdf_lower, u <= cdf_upper], [rising, plateau], default=falling)
 
 
 def sample_tau2(dist: ErrorVarianceDistribution, m: int, seed: int = 0) -> np.ndarray:
-    """Draw ``m`` tau2 values by inverse transform on Uniform(0, 1)."""
+    """Draw ``m`` tau2 values by inverse transform of Uniform(0, 1), every prior as a trapezoid."""
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     u = substream(seed).random(m)
-    if dist.kind == "uniform":
-        draws = uniform_inverse_cdf(u, dist.min, dist.max)
-    elif dist.kind == "triangular":
-        draws = triangular_inverse_cdf(u, dist.min, dist.mode, dist.max)
-    else:
-        draws = trapezoidal_inverse_cdf(u, dist.min, dist.lower_mode, dist.upper_mode, dist.max)
+    corners = {
+        "uniform": (dist.min, dist.min, dist.max, dist.max),
+        "triangular": (dist.min, dist.mode, dist.mode, dist.max),
+        "trapezoidal": (dist.min, dist.lower_mode, dist.upper_mode, dist.max),
+    }[dist.kind]
     # sqrt rounding can overshoot the support by an ulp; clamp it back
-    return np.clip(draws, dist.min, dist.max)
+    return np.clip(trapezoidal_inverse_cdf(u, *corners), dist.min, dist.max)
 
 
 @dataclass(frozen=True)
@@ -205,14 +188,14 @@ def run_sensitivity(
     empty summary.  Deterministic given ``seed``, whatever ``threads`` is.
     The tau2-free fits run once; each draw runs only the per-tau2 step.
     """
-    _, prepare, apply = correction_steps(method)  # rejects an unknown method first
+    _, apply = correction_steps(method)  # rejects an unknown method first
     if ci is None:
         ci = method == "rc"
     if simex_config is None:
         simex_config = SimexConfig()
 
     tau2_draws = sample_tau2(dist, m, seed)
-    correct = partial(apply, prepare(data, spec))  # the tau2-free fits, once
+    correct = partial(apply, prepare_correction(data, spec))  # the tau2-free fits, once
     worker = partial(_run_draw, data, spec, method, correct, simex_config, ci, n_boot, level, seed)
     draws = parallel_map(worker, enumerate(tau2_draws), threads=threads)
 

@@ -34,13 +34,14 @@ from .correct import (
     CorrectionInputs,
     SimexConfig,
     bootstrap_ci,
+    correction_fits,
     estimate_tau2_from_replicates,
     rc_estimates,
     simex_estimates,
 )
 from .data import AnalysisSpec, Dataset
 from .errors import BootstrapError, MecalibError, SimulationError, SingularDesignError
-from .linreg import ols_fit, wald_interval
+from .linreg import wald_interval
 from .util import (DEFAULT_SEED, draw_seed, parallel_map, require_integers, substream,
                    write_csv_rows, write_json)
 
@@ -207,7 +208,7 @@ def _block_bounds(n_reps: int, threads: int) -> list[tuple[int, int]]:
 
 
 def _stacked_fits(datasets, spec: AnalysisSpec):
-    """The naive and calibration fits of every dataset: two stacked ``ols_fit`` calls."""
+    """The naive and calibration fits of every dataset, each one stacked fit."""
     n, covariates = datasets[0].n_rows, len(spec.covariates)
     X = np.empty((len(datasets), n, 2 + covariates))
     y = np.empty((len(datasets), n))
@@ -216,8 +217,7 @@ def _stacked_fits(datasets, spec: AnalysisSpec):
         design[:, 1] = data.column(spec.exposure)
         design[:, 2:] = data.columns(spec.covariates)
         response[:] = data.column(spec.outcome)
-    calibration = ols_fit(np.delete(X, 1, axis=2), X[..., 1])
-    return ols_fit(X, y), calibration
+    return correction_fits(X, y)
 
 
 def _prepare_block(cfg: ScenarioConfig, reps: range, methods, n_boot: int):
@@ -374,6 +374,8 @@ def run_scenario(
     and its results equal those of analysing it alone.  Deterministic given
     (cfg, seed), independent of ``threads`` and of the blocking.
     """
+    if not methods:
+        raise ValueError("methods must name at least one method")
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")

@@ -49,7 +49,7 @@ def draw_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-def parallel_map(fn, jobs, threads: int = 1, chunksize: int | None = None) -> list:
+def parallel_map(fn, jobs, threads: int = 1) -> list:
     """Map ``fn`` over ``jobs``, optionally across a process pool.
 
     Results come back in job order either way, and every job carries its own
@@ -61,10 +61,8 @@ def parallel_map(fn, jobs, threads: int = 1, chunksize: int | None = None) -> li
     workers = min(threads, os.cpu_count() or 1, len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
-    if chunksize is None:
-        chunksize = max(1, len(jobs) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=chunksize))
+        return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (workers * 8))))
 
 
 @contextmanager

@@ -91,7 +91,7 @@ def run_repetition(cfg, rep, methods, n_boot, level, simex_config):
         if method not in methods:
             continue
         try:
-            estimate = correction_steps(method)[2](prepared, tau2, cfg_rep).estimate
+            estimate = correction_steps(method)[1](prepared, tau2, cfg_rep).estimate
         except InfeasibleCorrectionError:
             out[method] = "infeasible"
             continue

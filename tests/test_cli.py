@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mecalib import cli
-from mecalib.data import write_csv
+from mecalib.util import write_csv_rows
 
 from conftest import base_scenario_dataset
 
@@ -24,7 +24,7 @@ def run_cli(*args, cwd=None):
 def study_csv(tmp_path_factory):
     data, _ = base_scenario_dataset(n=150)
     path = tmp_path_factory.mktemp("cli") / "study.csv"
-    write_csv(data, path)
+    write_csv_rows(path, data.column_names, data.values)
     return path
 
 
@@ -122,6 +122,39 @@ def test_non_positive_reps_is_usage_error(tmp_path, reps):
     assert not any(tmp_path.iterdir())
 
 
+def run_main(argv, capsys):
+    """Exit code, stdout and stderr of one in-process ``cli.main`` call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_usage_error(study_csv, tmp_path, threads, capsys):
+    data = ("--input", str(study_csv), "--outcome", "creatinine", "--exposure", "bp_star_1")
+    commands = [
+        ("correct", *data, "--method", "rc", "--tau2", "5", "--output", str(tmp_path / "c.json")),
+        ("sensitivity", *data, "--method", "rc", "--tau2-dist", "uniform",
+         "--tau2-min", "1", "--tau2-max", "5", "--output", str(tmp_path / "s.csv")),
+        ("simulate", "--scenario", "base", "--reps", "2", "--out-dir", str(tmp_path / "o")),
+    ]
+    for command in commands:
+        code, _, err = run_main([*command, "--threads", threads], capsys)
+        assert code == 2, (command[0], err)
+        assert "--threads" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_simulate_without_methods_is_usage_error(tmp_path, capsys):
+    code, _, err = run_main(["simulate", "--scenario", "base", "--reps", "2", "--methods", ",",
+                             "--out-dir", str(tmp_path / "o")], capsys)
+    assert code == 2 and "--methods" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_tables_follow_redirected_stdout(study_csv):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
@@ -186,10 +219,8 @@ def test_correct_infeasible_tau2_message(tmp_path):
     rng = np.random.default_rng(2)
     x = rng.normal(0.0, np.sqrt(20.0), 200)
     y = 1.0 + 0.5 * x + rng.normal(size=200)
-    from mecalib import Dataset
-
     path = tmp_path / "narrow.csv"
-    write_csv(Dataset(("y", "x"), np.column_stack([y, x])), path)
+    write_csv_rows(path, ("y", "x"), np.column_stack([y, x]))
     proc = run_cli(
         "correct", "--input", str(path), "--outcome", "y", "--exposure", "x",
         "--method", "rc", "--tau2", "30",

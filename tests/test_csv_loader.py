@@ -14,7 +14,8 @@ import pytest
 
 from mecalib import AnalysisSpec, DataError, Dataset
 from mecalib import data as data_module
-from mecalib.data import load_csv, write_csv
+from mecalib.data import load_csv
+from mecalib.util import write_csv_rows
 
 SPEC = AnalysisSpec("y", ("x",))
 
@@ -157,7 +158,7 @@ def test_write_csv_round_trip_is_bit_exact(seed, tmp_path, monkeypatch):
     values[1] = [np.finfo(np.float64).tiny, -1e-310, 0.1]
     original = Dataset(("y", "x", "age"), values)
     path = tmp_path / "round_trip.csv"
-    write_csv(original, path)
+    write_csv_rows(path, original.column_names, original.values)
     loaded = load_csv(path, SPEC)
     assert loaded.column_names == original.column_names
     assert loaded.values.tobytes() == original.values.tobytes()

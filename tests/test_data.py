@@ -7,7 +7,7 @@ from mecalib import (
     Dataset,
     load_csv,
 )
-from mecalib.data import design_matrix, write_csv
+from mecalib.data import design_matrix
 from mecalib.util import write_csv_rows, write_json
 
 
@@ -75,7 +75,7 @@ def test_csv_round_trip_bit_identical(tmp_path):
     values = np.column_stack([values, rng.exponential(size=len(values))])
     data = Dataset(("a", "b"), values)
     path = tmp_path / "round.csv"
-    write_csv(data, path)
+    write_csv_rows(path, data.column_names, data.values)
     reloaded = load_csv(path, AnalysisSpec("a", ("b",)))
     assert np.array_equal(reloaded.values, data.values)
 

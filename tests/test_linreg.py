@@ -8,7 +8,7 @@ from mecalib import (
     SingularDesignError,
     wald_interval,
 )
-from mecalib.linreg import RANK_TOLERANCE, FitResult, ols_fit, residual_variance_of
+from mecalib.linreg import RANK_TOLERANCE, FitResult, ols_fit
 
 from conftest import base_scenario_dataset
 
@@ -146,20 +146,21 @@ def test_insufficient_rows_raises():
 
 
 def test_residual_variance_intercept_only_is_sample_variance():
-    assert residual_variance_of(np.ones((3, 1)), np.array([1.0, 2.0, 3.0])) == pytest.approx(1.0)
+    fit = ols_fit(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]))
+    assert fit.residual_variance == pytest.approx(1.0)
 
 
 def test_residual_variance_exact_fit_is_zero():
     X = np.column_stack([np.ones(5), np.arange(5.0)])
     v = 2.0 - 3.0 * np.arange(5.0)
-    assert residual_variance_of(X, v) == pytest.approx(0.0, abs=1e-20)
+    assert ols_fit(X, v).residual_variance == pytest.approx(0.0, abs=1e-20)
 
 
 def test_residual_variance_on_large_synthetic_sample():
     # measurement noise (30) stacks on the conditional exposure variance (50)
     data, spec = base_scenario_dataset(n=100_000)
     X = np.column_stack([np.ones(data.n_rows), data.column("age")])
-    v = residual_variance_of(X, data.column("bp_star_1"))
+    v = ols_fit(X, data.column("bp_star_1")).residual_variance
     assert v == pytest.approx(80.0, rel=0.01)
 
 

@@ -16,6 +16,7 @@ import pytest
 
 import mecalib.correct as correct
 import mecalib.linreg as linreg
+import mecalib.sensitivity as sensitivity
 import mecalib.simstudy as simstudy
 from mecalib import (
     BootstrapError,
@@ -36,11 +37,10 @@ from mecalib import (
     scenario_spec,
     wald_interval,
 )
-from mecalib.correct import correction_steps, corrector_for
-from mecalib.data import write_csv
+from mecalib.correct import correction_steps, prepare_correction
 from mecalib.sensitivity import _draw_rng
 from mecalib.simstudy import BLOCK_REPS, METHODS, run_scenario, scenario_grid
-from mecalib.util import draw_seed, substream
+from mecalib.util import draw_seed, substream, write_csv_rows
 
 from conftest import base_scenario_dataset, constant_age, run_repetition
 
@@ -51,7 +51,7 @@ def fresh_draws(data, spec, method, result, simex_config, seed):
     for index, draw in enumerate(result.draws):
         cfg = replace(simex_config, seed=draw_seed(_draw_rng(seed, index)))
         try:
-            fresh = corrector_for(method)(data, spec, ErrorVariance(draw.tau2), cfg)
+            fresh = correction_steps(method)[0](data, spec, ErrorVariance(draw.tau2), cfg)
         except InfeasibleCorrectionError:
             expected.append(None)
         else:
@@ -106,7 +106,8 @@ def counting(monkeypatch, module, name, calls=None):
 @pytest.mark.parametrize("method", ["rc", "simex"])
 def test_one_preparation_per_analysis(method, monkeypatch):
     data, spec = base_scenario_dataset(n=200)
-    prepared = counting(monkeypatch, correct, "prepare_correction")
+    prepared = counting(monkeypatch, sensitivity, "prepare_correction")
+    counting(monkeypatch, correct, "prepare_correction", prepared)
     full = counting(monkeypatch, correct, f"correct_{method}")
     dist = ErrorVarianceDistribution("uniform", 5.0, 15.0)
     run_sensitivity(data, spec, dist, method, m=15, ci=False,
@@ -126,9 +127,9 @@ def test_bootstrap_intervals_still_run_the_full_corrector(monkeypatch):
 @pytest.mark.parametrize("method", ["rc", "simex"])
 def test_prepared_step_equals_corrector(method):
     data, spec = base_scenario_dataset(n=150)
-    corrector, prepare, apply = correction_steps(method)
-    assert corrector is corrector_for(method)
-    prepared = prepare(data, spec)
+    corrector, apply = correction_steps(method)
+    assert corrector is getattr(correct, f"correct_{method}")
+    prepared = prepare_correction(data, spec)
     for tau2 in (0.0, 12.5, 30.0):
         cfg = SimexConfig(n_sim=15, seed=int(tau2) + 1)
         fresh = corrector(data, spec, ErrorVariance(tau2), cfg)
@@ -177,7 +178,7 @@ def test_correct_reports_the_correctors_own_uncorrected_fit(method, flags, tmp_p
                                                             monkeypatch, capsys):
     data, spec = base_scenario_dataset(n=150)
     path = tmp_path / "study.csv"
-    write_csv(data, path)
+    write_csv_rows(path, data.column_names, data.values)
     out = tmp_path / "correct.json"
     expected = float(fit_uncorrected(data, spec).coefficients[1])
     fits = counting(monkeypatch, linreg, "ols_fit")
@@ -238,7 +239,6 @@ def test_repetition_fits_twice(monkeypatch):
     # repetition in it: two ols_fit calls per block, whatever its size
     fits = counting(monkeypatch, linreg, "ols_fit")
     counting(monkeypatch, correct, "ols_fit", fits)
-    counting(monkeypatch, simstudy, "ols_fit", fits)
     base = replace(scenario_grid(n_reps=1)[0], n=200)
     for n_reps in (1, 2, BLOCK_REPS, BLOCK_REPS + 3):
         fits.clear()

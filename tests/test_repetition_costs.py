@@ -24,9 +24,8 @@ from mecalib import (
     estimate_tau2_from_replicates,
     generate_dataset,
 )
-from mecalib.correct import _simulate_lambdas, extrapolate, prepare_correction
-from mecalib.data import write_csv
-from mecalib.util import substream
+from mecalib.correct import extrapolate, prepare_correction, simex_estimates_per_lambda
+from mecalib.util import substream, write_csv_rows
 
 from conftest import base_scenario_dataset
 
@@ -70,7 +69,7 @@ def test_lambda_pass_equals_per_lambda_loop(n, n_sim, grid):
         prepared = prepare_correction(data, spec)
         tau2 = estimate_tau2_from_replicates(data, spec)
         cfg = SimexConfig(lambda_grid=grid, n_sim=n_sim, seed=seed)
-        got = _simulate_lambdas(prepared, tau2, cfg)
+        got = simex_estimates_per_lambda(data, spec, tau2, cfg)
         assert got == per_lambda_loop(prepared, tau2, cfg)
         assert list(got) == list(grid)
 
@@ -134,7 +133,7 @@ def test_simex_overflow_raises_naming_tau2():
 def test_simex_overflow_is_a_cli_runtime_error(tmp_path):
     data, _ = base_scenario_dataset(n=150)
     path = tmp_path / "d.csv"
-    write_csv(data, path)
+    write_csv_rows(path, data.column_names, data.values)
     out = tmp_path / "big.json"
     proc = run_python(
         "-W", "error::RuntimeWarning", "-m", "mecalib.cli", "correct",

@@ -17,8 +17,8 @@ from mecalib import (
     fit_uncorrected,
     run_sensitivity,
 )
-from mecalib.sensitivity import _draw_rng, sample_tau2, triangular_inverse_cdf
-from mecalib.util import draw_seed
+from mecalib.sensitivity import _draw_rng, sample_tau2, trapezoidal_inverse_cdf
+from mecalib.util import draw_seed, substream
 
 from conftest import base_scenario_dataset
 
@@ -52,14 +52,14 @@ def test_triangular_degenerate_support():
 
 def test_triangular_median_is_mode_for_symmetric_support():
     # symmetric support: inverse CDF at u = 0.5 returns the mode exactly
-    assert triangular_inverse_cdf(0.5, 37.0, 48.0, 59.0) == 48.0
+    assert trapezoidal_inverse_cdf(0.5, 37.0, 48.0, 48.0, 59.0) == 48.0
 
 
 def test_triangular_edge_modes():
     # mode at an endpoint leaves a single branch
-    left = triangular_inverse_cdf(np.array([0.0, 0.5, 0.999]), 1.0, 1.0, 3.0)
+    left = trapezoidal_inverse_cdf(np.array([0.0, 0.5, 0.999]), 1.0, 1.0, 1.0, 3.0)
     assert left[0] >= 1.0 and left[-1] <= 3.0
-    right = triangular_inverse_cdf(np.array([0.0, 0.5, 0.999]), 1.0, 3.0, 3.0)
+    right = trapezoidal_inverse_cdf(np.array([0.0, 0.5, 0.999]), 1.0, 3.0, 3.0, 3.0)
     assert np.all((right >= 1.0) & (right <= 3.0))
 
 
@@ -68,6 +68,97 @@ def test_uniform_moments_and_support():
     draws = sample_tau2(dist, 100_000, seed=4)
     assert draws.mean() == pytest.approx(15.0, abs=0.1)
     assert draws.min() >= 10.0 and draws.max() <= 20.0
+
+
+# The three quantile formulas sample_tau2 used before every prior was sampled
+# as a trapezoid; the oracle of the differential tests below.
+def oracle_uniform(u, low, high):
+    return low + (high - low) * u
+
+
+def oracle_triangular(u, low, mode, high):
+    if high == low:
+        return np.full_like(u, low)
+    span = high - low
+    split = (mode - low) / span
+    with np.errstate(invalid="ignore"):
+        rising = low + np.sqrt(u * span * (mode - low))
+        falling = high - np.sqrt((1.0 - u) * span * (high - mode))
+    return np.where(u < split, rising, falling)
+
+
+def oracle_trapezoidal(u, low, lower_mode, upper_mode, high):
+    if high == low:
+        return np.full_like(u, low)
+    height = 2.0 / (high + upper_mode - lower_mode - low)
+    cdf_lower = 0.5 * height * (lower_mode - low)
+    cdf_upper = cdf_lower + height * (upper_mode - lower_mode)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rising = low + np.sqrt(2.0 * u * (lower_mode - low) / height)
+        plateau = lower_mode + (u - cdf_lower) / height
+        falling = high - np.sqrt(2.0 * (1.0 - u) * (high - upper_mode) / height)
+    return np.select([u < cdf_lower, u <= cdf_upper], [rising, plateau], default=falling)
+
+
+def oracle_draws(dist, m, seed):
+    u = substream(seed).random(m)
+    if dist.kind == "uniform":
+        draws = oracle_uniform(u, dist.min, dist.max)
+    elif dist.kind == "triangular":
+        draws = oracle_triangular(u, dist.min, dist.mode, dist.max)
+    else:
+        draws = oracle_trapezoidal(u, dist.min, dist.lower_mode, dist.upper_mode, dist.max)
+    return np.clip(draws, dist.min, dist.max)
+
+
+@pytest.mark.parametrize("dist", [
+    ErrorVarianceDistribution("uniform", 0.0, 1.0),
+    ErrorVarianceDistribution("uniform", 10.0, 45.0),
+    ErrorVarianceDistribution("uniform", 1e-3, 7e5),
+    ErrorVarianceDistribution("uniform", 3.0, 3.0),
+    ErrorVarianceDistribution("uniform", 0.0, 1.5e308),  # twice the width overflows
+    ErrorVarianceDistribution("triangular", 10.0, 45.0, mode=25.0),
+    ErrorVarianceDistribution("triangular", 37.0, 59.0, mode=48.0),
+    ErrorVarianceDistribution("triangular", 1.0, 3.0, mode=1.0),
+    ErrorVarianceDistribution("triangular", 1.0, 3.0, mode=3.0),
+    ErrorVarianceDistribution("triangular", 0.0, 2e4, mode=150.0),
+    ErrorVarianceDistribution("triangular", 48.0, 48.0, mode=48.0),
+])
+def test_uniform_and_triangular_draws_equal_their_own_formulas(dist):
+    for seed in (0, 1, 17, 2**40):
+        assert np.array_equal(sample_tau2(dist, 20_000, seed), oracle_draws(dist, 20_000, seed))
+
+
+@pytest.mark.parametrize("low, lower_mode, upper_mode, high", [
+    (10.0, 20.0, 35.0, 45.0),
+    (10.0, 20.0, 40.0, 60.0),
+    (0.0, 0.0, 1.0, 1.0),
+    (0.0, 0.3, 0.3, 1.0),
+    (1.0, 1.0, 4.0, 9.0),
+    (1.0, 5.0, 9.0, 9.0),
+    (2.0, 2.0, 2.0, 2.0),
+    (1e-3, 2e2, 3e5, 7e5),
+])
+def test_trapezoidal_draws_within_an_eps_of_max_of_their_old_formula(low, lower_mode,
+                                                                     upper_mode, high):
+    dist = ErrorVarianceDistribution("trapezoidal", low, high, lower_mode=lower_mode,
+                                     upper_mode=upper_mode)
+    for seed in (0, 3, 2**40):
+        moved = np.abs(sample_tau2(dist, 20_000, seed) - oracle_draws(dist, 20_000, seed))
+        assert moved.max() <= np.finfo(np.float64).eps * high
+
+
+@pytest.mark.parametrize("kind, modes", [
+    ("uniform", {}),
+    ("trapezoidal", {"lower_mode": 0.0, "upper_mode": 1e-310}),
+    ("trapezoidal", {"lower_mode": 2e-311, "upper_mode": 8e-311}),
+])
+def test_draws_on_a_subnormal_support_spread_over_it(kind, modes):
+    # the plateau density 2 / s of a support 1e-310 wide is not representable
+    draws = sample_tau2(ErrorVarianceDistribution(kind, 0.0, 1e-310, **modes), 1_000, seed=2)
+    assert draws.min() >= 0.0 and draws.max() <= 1e-310
+    assert draws.min() < 2e-311 and draws.max() > 8e-311
+    assert len(np.unique(draws)) > 100
 
 
 def triangular_cdf(x, low, mode, high):

@@ -193,6 +193,11 @@ def test_run_scenario_rejects_unknown_method():
         run_scenario(small_cfg(n_reps=2), methods=("rc", "mystery"))
 
 
+def test_run_scenario_needs_a_method():
+    with pytest.raises(ValueError, match="at least one method"):
+        run_scenario(small_cfg(n_reps=2), methods=())
+
+
 def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(tau2=-1.0)
