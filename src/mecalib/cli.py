@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_simex_flags(p):
         p.add_argument("--lambda-grid", type=_comma_floats, default=simex_defaults.lambda_grid,
                        help="comma-separated noise multipliers, starting at 0")
-        p.add_argument("--n-sim", type=int, default=simex_defaults.n_sim,
+        p.add_argument("--n-sim", type=_positive_int, default=simex_defaults.n_sim,
                        help="pseudo datasets per positive multiplier")
         p.add_argument("--extrapolant", choices=tuple(EXTRAPOLANT_DEGREE),
                        default=simex_defaults.extrapolant,
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sen.add_argument("--tau2-mode", type=float, help="triangular mode")
     p_sen.add_argument("--tau2-lower-mode", type=float, help="trapezoidal plateau start")
     p_sen.add_argument("--tau2-upper-mode", type=float, help="trapezoidal plateau end")
-    p_sen.add_argument("--draws", type=int, default=100, help="number of tau2 draws")
+    p_sen.add_argument("--draws", type=_positive_int, default=100, help="number of tau2 draws")
     p_sen.add_argument("--ci", choices=("auto", "on", "off"), default="auto",
                        help="per-draw bootstrap CIs (auto: on for rc, off for simex)")
     add_simex_flags(p_sen)

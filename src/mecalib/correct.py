@@ -36,7 +36,8 @@ from .errors import (
     SingularDesignError,
 )
 from .linreg import FitResult, ols_fit
-from .util import draw_seed, parallel_map, require_integers, substream
+from .util import (Substreams, draw_seed, parallel_map, require_integers, substream,
+                   substreams)
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -130,12 +131,11 @@ class CorrectionResult:
             )
 
 
-def estimate_tau2_from_replicates(data: Dataset, spec: AnalysisSpec) -> ErrorVariance:
-    """Estimate the error variance as the average within-row replicate variance.
+def _replicate_sums_of_squares(data: Dataset, spec: AnalysisSpec) -> np.ndarray:
+    """Each row's sum of squared deviations of its replicates from their mean.
 
-    Each row's k replicate measurements share one true exposure value, so
-    their sample variance (divisor k - 1) estimates tau2; averaging over rows
-    pools those estimates.
+    Every row's entry depends on that row alone, so the entries of a row
+    resample are the entries of the rows drawn, bit for bit.
     """
     if spec.n_replicates < 2:
         raise InsufficientReplicatesError(
@@ -143,8 +143,24 @@ def estimate_tau2_from_replicates(data: Dataset, spec: AnalysisSpec) -> ErrorVar
         )
     replicates = data.columns(spec.exposure_replicates)
     deviations = replicates - replicates.mean(axis=1, keepdims=True)
-    sum_sq = float(np.einsum("ij,ij->", deviations, deviations))
-    return ErrorVariance(sum_sq / (data.n_rows * (spec.n_replicates - 1)), source="replicates")
+    return np.add.reduce(deviations * deviations, axis=1)
+
+
+def _pooled_tau2(row_sums_of_squares: np.ndarray, n_replicates: int) -> ErrorVariance:
+    """The mean of the per-row replicate variances (divisor k - 1) as an ErrorVariance."""
+    sum_sq = float(np.add.reduce(row_sums_of_squares))
+    return ErrorVariance(sum_sq / (len(row_sums_of_squares) * (n_replicates - 1)),
+                         source="replicates")
+
+
+def estimate_tau2_from_replicates(data: Dataset, spec: AnalysisSpec) -> ErrorVariance:
+    """Estimate the error variance as the average within-row replicate variance.
+
+    Each row's k replicate measurements share one true exposure value, so
+    their sample variance (divisor k - 1) estimates tau2; averaging over rows
+    pools those estimates.
+    """
+    return _pooled_tau2(_replicate_sums_of_squares(data, spec), spec.n_replicates)
 
 
 def fit_uncorrected(data: Dataset, spec: AnalysisSpec) -> FitResult:
@@ -433,21 +449,23 @@ def _bootstrap_replicate(
     spec: AnalysisSpec,
     correct,
     tau2: ErrorVariance,
+    row_sums_of_squares: np.ndarray | None,
     cfg: SimexConfig | None,
-    seed: int,
+    streams: Substreams,
     index: int,
 ) -> float | None:
     """One resample-and-correct pass; None signals a failed replicate.
 
+    With ``row_sums_of_squares`` (tau2 from replicates) tau2 is pooled from
+    the drawn rows' entries, which equals re-estimating it on the resample.
     A given ``cfg`` gets a fresh seed per replicate, drawn after the rows.
     """
-    rng = substream(seed, index)
+    rng = streams[index]
     rows = rng.integers(0, data.n_rows, size=data.n_rows)
     resample = data.take_rows(rows)
     tau2_b = (
-        estimate_tau2_from_replicates(resample, spec)
-        if tau2.source == "replicates"
-        else tau2
+        tau2 if row_sums_of_squares is None
+        else _pooled_tau2(row_sums_of_squares[rows], spec.n_replicates)
     )
     cfg_b = None if cfg is None else replace(cfg, seed=draw_seed(rng))
     try:
@@ -474,7 +492,8 @@ def bootstrap_ci(
     re-estimated per resample so its sampling uncertainty propagates into the
     interval; an externally supplied tau2 is held fixed.  Replicate ``b``
     uses the RNG sub-stream (seed, b), so the interval is reproducible and
-    independent of any execution order.
+    independent of any execution order; the sub-streams of all replicates
+    are seeded in one pass (:func:`substreams`).
 
     Replicates on which the correction fails (infeasible calibration,
     singular resample) are dropped; if more than 10% fail the interval is
@@ -491,9 +510,11 @@ def bootstrap_ci(
     if randomized and cfg is None:
         raise ValueError("the simex corrector needs a SimexConfig")
 
-    worker = partial(
-        _bootstrap_replicate, data, spec, correct, tau2, cfg if randomized else None, seed
+    row_sums_of_squares = (
+        _replicate_sums_of_squares(data, spec) if tau2.source == "replicates" else None
     )
+    worker = partial(_bootstrap_replicate, data, spec, correct, tau2, row_sums_of_squares,
+                     cfg if randomized else None, substreams(seed, n_boot))
     replicate_estimates = parallel_map(worker, range(n_boot), threads=threads)
     estimates = [est for est in replicate_estimates if est is not None]
     failures = n_boot - len(estimates)

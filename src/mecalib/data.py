@@ -114,10 +114,18 @@ class Dataset:
         return self.values[:, idx]
 
     def take_rows(self, indices) -> "Dataset":
-        """New Dataset holding the given rows (repeats allowed, order kept)."""
+        """New Dataset holding the given rows (repeats allowed, order kept).
+
+        Rows of a valid Dataset are valid, so only the indices' shape is checked.
+        """
         values = np.take(self.values, np.asarray(indices, dtype=np.intp), axis=0)
+        if values.ndim != 2 or values.shape[0] < 1:
+            raise DataError("take_rows needs a nonempty 1-D sequence of row indices")
         values.setflags(write=False)  # a fresh array: no defensive copy needed
-        return Dataset(self.column_names, values)
+        rows = object.__new__(Dataset)
+        object.__setattr__(rows, "column_names", self.column_names)
+        object.__setattr__(rows, "values", values)
+        return rows
 
 
 def _parse_cell(cell: str, row: int, name: str) -> float:

@@ -81,6 +81,18 @@ class ErrorVarianceDistribution:
         return out
 
 
+def _ramp_offset(u, h, width):
+    """Distance ``sqrt(u * h * 2 width)`` from a ramp's outer end to the quantile.
+
+    Where the direct product overflows (a ramp near the float64 limit) the
+    root is taken factor by factor, with no overflowing intermediate.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf: the factored form holds
+        direct = np.sqrt(u * h * (2.0 * width))
+        factored = np.sqrt(u * h) * (np.sqrt(width) * math.sqrt(2.0))
+    return np.where(np.isfinite(direct), direct, factored)
+
+
 def trapezoidal_inverse_cdf(u, low: float, lower_mode: float, upper_mode: float, high: float):
     """Quantile function of the trapezoidal distribution (ramp, plateau, ramp).
 
@@ -94,9 +106,9 @@ def trapezoidal_inverse_cdf(u, low: float, lower_mode: float, upper_mode: float,
     h = (high - low) / 2.0 + (upper_mode - lower_mode) / 2.0
     cdf_lower = (lower_mode - low) / h / 2.0
     cdf_upper = cdf_lower + (upper_mode - lower_mode) / h
-    rising = low + np.sqrt(u * h * (2.0 * (lower_mode - low)))
+    rising = low + _ramp_offset(u, h, lower_mode - low)
     plateau = lower_mode + (u - cdf_lower) * h
-    falling = high - np.sqrt((1.0 - u) * h * (2.0 * (high - upper_mode)))
+    falling = high - _ramp_offset(1.0 - u, h, high - upper_mode)
     return np.select([u < cdf_lower, u <= cdf_upper], [rising, plateau], default=falling)
 
 

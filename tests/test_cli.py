@@ -122,6 +122,23 @@ def test_non_positive_reps_is_usage_error(tmp_path, reps):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_draws_and_n_sim_are_usage_errors(study_csv, tmp_path, value):
+    data = ("--input", str(study_csv), "--outcome", "creatinine", "--exposure", "bp_star_1")
+    sensitivity = ("sensitivity", *data, "--method", "simex", "--tau2-dist", "uniform",
+                   "--tau2-min", "1", "--tau2-max", "5", "--output", str(tmp_path / "s.csv"))
+    commands = [
+        (("correct", *data, "--method", "simex", "--tau2", "5"), "--n-sim"),
+        (sensitivity, "--n-sim"),
+        (sensitivity, "--draws"),
+    ]
+    for command, flag in commands:
+        proc = run_cli(*command, flag, value)
+        assert proc.returncode == 2, (command[0], flag, proc.stderr)
+        assert flag in proc.stderr and "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
 def run_main(argv, capsys):
     """Exit code, stdout and stderr of one in-process ``cli.main`` call."""
     try:

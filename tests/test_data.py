@@ -193,3 +193,19 @@ def test_design_matrix_unknown_column():
     data = Dataset(("y", "x"), np.ones((3, 2)))
     with pytest.raises(DataError, match="column not found"):
         design_matrix(data, "nope")
+
+
+def test_take_rows_equals_a_dataset_of_the_rows():
+    values = np.arange(24.0).reshape(6, 4)
+    data = Dataset(("a", "b", "c", "d"), values)
+    rows = np.array([5, 0, 0, 3, -1])
+    taken = data.take_rows(rows)
+    expected = Dataset(data.column_names, values[rows])
+    assert taken.column_names == expected.column_names
+    assert np.array_equal(taken.values, expected.values)
+    assert taken.values.dtype == np.float64 and not taken.values.flags.writeable
+    with pytest.raises(ValueError):
+        taken.values[0, 0] = 1.0
+    for bad in ([], [[0, 1]]):
+        with pytest.raises(DataError, match="nonempty 1-D"):
+            data.take_rows(bad)

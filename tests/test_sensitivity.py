@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from statistics import median
 
 import numpy as np
@@ -159,6 +160,25 @@ def test_draws_on_a_subnormal_support_spread_over_it(kind, modes):
     assert draws.min() >= 0.0 and draws.max() <= 1e-310
     assert draws.min() < 2e-311 and draws.max() > 8e-311
     assert len(np.unique(draws)) > 100
+
+
+@pytest.mark.parametrize("dist", [
+    ErrorVarianceDistribution("triangular", 0.0, 1e200, mode=5e199),
+    ErrorVarianceDistribution("triangular", 0.0, 1.7e308, mode=0.0),
+    ErrorVarianceDistribution("triangular", 0.0, 1.7e308, mode=1.7e308),
+    ErrorVarianceDistribution("triangular", 1e300, 1.7e308, mode=9e307),
+    ErrorVarianceDistribution("trapezoidal", 0.0, 1.7e308, lower_mode=1e308, upper_mode=1.2e308),
+])
+def test_draws_where_a_ramp_product_overflows_spread_over_the_support(dist):
+    # u * h * 2 * ramp width is not finite here; the ramp roots are factored
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_tau2(dist, 1_000, seed=5)
+    assert np.isfinite(draws).all()
+    assert draws.min() >= dist.min and draws.max() <= dist.max
+    assert len(np.unique(draws)) > 990
+    assert draws.min() < dist.min + 0.1 * (dist.max - dist.min)
+    assert draws.max() > dist.max - 0.1 * (dist.max - dist.min)
 
 
 def triangular_cdf(x, low, mode, high):
