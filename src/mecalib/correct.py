@@ -36,8 +36,7 @@ from .errors import (
     SingularDesignError,
 )
 from .linreg import FitResult, ols_fit
-from .util import (Substreams, draw_seed, parallel_map, require_integers, substream,
-                   substreams)
+from .util import Substreams, draw_seed, parallel_map, require_integers, substreams
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -131,26 +130,38 @@ class CorrectionResult:
             )
 
 
-def _replicate_sums_of_squares(data: Dataset, spec: AnalysisSpec) -> np.ndarray:
+def _replicate_sums_of_squares(replicates: np.ndarray) -> np.ndarray:
     """Each row's sum of squared deviations of its replicates from their mean.
 
-    Every row's entry depends on that row alone, so the entries of a row
-    resample are the entries of the rows drawn, bit for bit.
+    ``replicates`` is an (n, k) block of replicate columns, or a stack
+    (..., n, k) of them.  Every row's entry depends on that row alone, so the
+    entries of a row resample are the entries of the rows drawn, bit for bit.
+    The summation order follows the memory layout: a stack gives each block's
+    numbers when each of its blocks is laid out as ``Dataset.columns`` returns
+    one (rows adjacent in memory).
     """
-    if spec.n_replicates < 2:
+    if replicates.shape[-1] < 2:
         raise InsufficientReplicatesError(
-            f"need at least 2 replicate columns to estimate tau2, got {spec.n_replicates}"
+            f"need at least 2 replicate columns to estimate tau2, got {replicates.shape[-1]}"
         )
-    replicates = data.columns(spec.exposure_replicates)
-    deviations = replicates - replicates.mean(axis=1, keepdims=True)
-    return np.add.reduce(deviations * deviations, axis=1)
+    deviations = replicates - replicates.mean(axis=-1, keepdims=True)
+    return np.add.reduce(deviations * deviations, axis=-1)
 
 
-def _pooled_tau2(row_sums_of_squares: np.ndarray, n_replicates: int) -> ErrorVariance:
-    """The mean of the per-row replicate variances (divisor k - 1) as an ErrorVariance."""
-    sum_sq = float(np.add.reduce(row_sums_of_squares))
-    return ErrorVariance(sum_sq / (len(row_sums_of_squares) * (n_replicates - 1)),
-                         source="replicates")
+def _pooled_tau2(row_sums_of_squares: np.ndarray, n_replicates: int):
+    """The mean of the per-row replicate variances (divisor k - 1), over the last axis."""
+    return np.add.reduce(row_sums_of_squares, axis=-1) / (
+        row_sums_of_squares.shape[-1] * (n_replicates - 1))
+
+
+def replicate_tau2(replicates: np.ndarray):
+    """The tau2 estimate of an (n, k) block of replicate columns, or of each of a stack.
+
+    See :func:`estimate_tau2_from_replicates`; a stack (..., n, k) gives an
+    array of shape (...), each entry that of its block alone when the blocks
+    are laid out as :func:`_replicate_sums_of_squares` describes.
+    """
+    return _pooled_tau2(_replicate_sums_of_squares(replicates), replicates.shape[-1])
 
 
 def estimate_tau2_from_replicates(data: Dataset, spec: AnalysisSpec) -> ErrorVariance:
@@ -160,7 +171,8 @@ def estimate_tau2_from_replicates(data: Dataset, spec: AnalysisSpec) -> ErrorVar
     their sample variance (divisor k - 1) estimates tau2; averaging over rows
     pools those estimates.
     """
-    return _pooled_tau2(_replicate_sums_of_squares(data, spec), spec.n_replicates)
+    return ErrorVariance(float(replicate_tau2(data.columns(spec.exposure_replicates))),
+                         source="replicates")
 
 
 def fit_uncorrected(data: Dataset, spec: AnalysisSpec) -> FitResult:
@@ -278,8 +290,7 @@ def _simex_values(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds):
     """
     rows = len(seeds)
     slope, residual_variance, v, n, p, tau2 = (
-        np.broadcast_to(np.asarray(x, dtype=np.float64), (rows,))
-        for x in (*prepared, tau2)
+        np.full(rows, x, dtype=np.float64) for x in (*prepared, tau2)
     )
     # Residualized on the other design columns (Frisch-Waugh-Lovell), the
     # exposure is a e1 and the response b e1 + c e2 with e1, e2 orthonormal:
@@ -291,14 +302,17 @@ def _simex_values(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds):
     lambdas = np.array(cfg.lambda_grid[1:])  # the grid starts at 0
     z = np.zeros((rows, len(lambdas), 2, cfg.n_sim))
     rest = np.zeros((rows, len(lambdas), cfg.n_sim))
-    for r, seed in enumerate(seeds):
-        if tau2[r] == 0.0:
-            continue
-        for i, draws in enumerate(z[r], start=1):
-            rng = substream(seed, i)
+    # a row with tau2 = 0 draws nothing
+    simulated = [r for r, value in enumerate(tau2.tolist()) if value != 0.0]
+    paths = range(1, len(lambdas) + 1)
+    streams = iter(substreams([seeds[r] for r in simulated for _ in paths],
+                              [*paths] * len(simulated)))
+    for r in simulated:
+        for i, draws in enumerate(z[r]):
+            rng = next(streams)
             rng.standard_normal(out=draws)
             if rest_df[r] > 0:
-                rest[r, i - 1] = rng.chisquare(rest_df[r], cfg.n_sim)
+                rest[r, i] = rng.chisquare(rest_df[r], cfg.n_sim)
     z1, z2 = z[:, :, 0], z[:, :, 1]
     values = np.empty((rows, len(cfg.lambda_grid)))
     values[:, 0] = slope
@@ -331,7 +345,7 @@ def simex_estimates(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds):
     values, errors = _simex_values(prepared, tau2, cfg, seeds)
     _, at_minus_one = _extrapolation_weights(cfg.lambda_grid, EXTRAPOLANT_DEGREE[cfg.extrapolant])
     estimates = _weighted_sum(values, at_minus_one)
-    tau2 = np.broadcast_to(tau2, estimates.shape)
+    tau2 = np.full(estimates.shape, tau2)
     for r in np.flatnonzero(~np.isfinite(estimates)).tolist():
         errors.setdefault(r, ValueError(
             f"SIMEX extrapolation overflows float64 at tau2={tau2[r]:g}"))
@@ -463,10 +477,8 @@ def _bootstrap_replicate(
     rng = streams[index]
     rows = rng.integers(0, data.n_rows, size=data.n_rows)
     resample = data.take_rows(rows)
-    tau2_b = (
-        tau2 if row_sums_of_squares is None
-        else _pooled_tau2(row_sums_of_squares[rows], spec.n_replicates)
-    )
+    tau2_b = tau2 if row_sums_of_squares is None else ErrorVariance(
+        float(_pooled_tau2(row_sums_of_squares[rows], spec.n_replicates)), source="replicates")
     cfg_b = None if cfg is None else replace(cfg, seed=draw_seed(rng))
     try:
         return correct(resample, spec, tau2_b, cfg_b).estimate
@@ -511,10 +523,11 @@ def bootstrap_ci(
         raise ValueError("the simex corrector needs a SimexConfig")
 
     row_sums_of_squares = (
-        _replicate_sums_of_squares(data, spec) if tau2.source == "replicates" else None
+        _replicate_sums_of_squares(data.columns(spec.exposure_replicates))
+        if tau2.source == "replicates" else None
     )
     worker = partial(_bootstrap_replicate, data, spec, correct, tau2, row_sums_of_squares,
-                     cfg if randomized else None, substreams(seed, n_boot))
+                     cfg if randomized else None, substreams(seed, np.arange(n_boot)))
     replicate_estimates = parallel_map(worker, range(n_boot), threads=threads)
     estimates = [est for est in replicate_estimates if est is not None]
     failures = n_boot - len(estimates)

@@ -32,18 +32,19 @@ import numpy as np
 from .correct import (
     CORRECTION_METHODS,
     CorrectionInputs,
+    ErrorVariance,
     SimexConfig,
     bootstrap_ci,
     correction_fits,
-    estimate_tau2_from_replicates,
     rc_estimates,
+    replicate_tau2,
     simex_estimates,
 )
 from .data import AnalysisSpec, Dataset
 from .errors import BootstrapError, MecalibError, SimulationError, SingularDesignError
 from .linreg import wald_interval
-from .util import (DEFAULT_SEED, draw_seed, parallel_map, require_integers, substream,
-                   write_csv_rows, write_json)
+from .util import (DEFAULT_SEED, draw_seed, parallel_map, require_integers, require_reals,
+                   substreams, write_csv_rows, write_json)
 
 TRUE_EFFECT = 0.2
 
@@ -81,6 +82,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         require_integers(self, "n", "k", "n_reps", "seed")
+        require_reals(self, "tau2", "sigma2", "gamma")
         if not np.isfinite(self.tau2) or self.tau2 < 0.0:
             raise ValueError(f"tau2 must be nonnegative, got {self.tau2}")
         if self.n < 4:
@@ -135,28 +137,37 @@ def scenario_spec(k: int) -> AnalysisSpec:
     )
 
 
-def generate_dataset(cfg: ScenarioConfig, rep_index: int) -> Dataset:
-    """Generate one synthetic dataset for repetition ``rep_index``.
+def generate_block(cfg: ScenarioConfig, reps: range) -> np.ndarray:
+    """Generate the datasets of repetitions ``reps`` as one (len(reps), n, k + 2) value stack.
 
-    Column order: creatinine, bp_star_1..bp_star_k, age.  The RNG stream is
-    (cfg.seed, rep_index) and the draw order (age, bp noise, replicate
-    errors, outcome noise) is fixed, so datasets are reproducible and
-    independent across repetitions.
+    Column order: creatinine, bp_star_1..bp_star_k, age.  Repetition ``rep``
+    draws from the RNG stream (cfg.seed, rep) in a fixed order (age, bp
+    noise, replicate errors, outcome noise), so each dataset is reproducible,
+    independent of the others and of the block it is drawn in.
     """
-    rng = substream(cfg.seed, rep_index)
     n, k = cfg.n, cfg.k
-    age = rng.normal(AGE_MEAN, np.sqrt(AGE_VAR), n)
-    bp = BP_INTERCEPT + cfg.gamma * age + rng.normal(0.0, np.sqrt(BP_VAR_GIVEN_AGE), n)
-    replicate_errors = rng.normal(0.0, np.sqrt(cfg.tau2), (n, k))
-    creatinine = (
-        OUTCOME_INTERCEPT
-        + TRUE_EFFECT * bp
-        + AGE_EFFECT * age
-        + rng.normal(0.0, np.sqrt(cfg.sigma2), n)
-    )
-    values = np.column_stack([creatinine, bp[:, None] + replicate_errors, age])
+    streams = substreams(cfg.seed, np.arange(reps.start, reps.stop))
+    age, bp_noise, outcome_noise = np.empty((3, len(reps), n))
+    replicate_errors = np.empty((len(reps), n, k))
+    for r in range(len(reps)):
+        rng = streams[r]
+        age[r] = rng.normal(AGE_MEAN, np.sqrt(AGE_VAR), n)
+        bp_noise[r] = rng.normal(0.0, np.sqrt(BP_VAR_GIVEN_AGE), n)
+        replicate_errors[r] = rng.normal(0.0, np.sqrt(cfg.tau2), (n, k))
+        outcome_noise[r] = rng.normal(0.0, np.sqrt(cfg.sigma2), n)
+    bp = BP_INTERCEPT + cfg.gamma * age + bp_noise
+    values = np.empty((len(reps), n, k + 2))
+    values[..., 0] = OUTCOME_INTERCEPT + TRUE_EFFECT * bp + AGE_EFFECT * age + outcome_noise
+    np.add(bp[..., None], replicate_errors, out=values[..., 1:k + 1])
+    values[..., k + 1] = age
+    return values
+
+
+def generate_dataset(cfg: ScenarioConfig, rep_index: int) -> Dataset:
+    """Generate the synthetic dataset of repetition ``rep_index`` (see :func:`generate_block`)."""
+    values = generate_block(cfg, range(rep_index, rep_index + 1))[0]
     values.setflags(write=False)  # a fresh array: no defensive copy needed
-    return Dataset(scenario_spec(k).all_columns(), values)
+    return Dataset(scenario_spec(cfg.k).all_columns(), values)
 
 
 # Why a repetition yields no estimate for a method: the calibration is
@@ -207,36 +218,44 @@ def _block_bounds(n_reps: int, threads: int) -> list[tuple[int, int]]:
     return [(start, min(start + size, n_reps)) for start in range(0, n_reps, size)]
 
 
-def _stacked_fits(datasets, spec: AnalysisSpec):
-    """The naive and calibration fits of every dataset, each one stacked fit."""
-    n, covariates = datasets[0].n_rows, len(spec.covariates)
-    X = np.empty((len(datasets), n, 2 + covariates))
-    y = np.empty((len(datasets), n))
-    X[..., 0] = 1.0
-    for design, response, data in zip(X, y, datasets):
-        design[:, 1] = data.column(spec.exposure)
-        design[:, 2:] = data.columns(spec.covariates)
-        response[:] = data.column(spec.outcome)
-    return correction_fits(X, y)
-
-
 def _prepare_block(cfg: ScenarioConfig, reps: range, methods, n_boot: int):
-    """Each repetition's dataset, tau2 and seeds, and the block's two stacked fits."""
-    spec = scenario_spec(cfg.k)
-    datasets, tau2, simex_seeds, boot_seeds = [], [], [], []
-    for rep in reps:
-        data = generate_dataset(cfg, rep)
-        datasets.append(data)
-        tau2.append(estimate_tau2_from_replicates(data, spec))
-        # Analysis seeds are drawn in a fixed order (SIMEX seed, then one
-        # bootstrap seed per correction method) so that results for one method
-        # do not depend on which other methods were requested.
-        if "simex" in methods or n_boot:
-            rng = substream(cfg.seed, rep, 1)
+    """Each repetition's tau2 and seeds, the block's two stacked fits, and its datasets.
+
+    Everything is computed on the block's value stack, in the order a
+    repetition alone meets it: its values are checked as a ``Dataset`` checks
+    them, then tau2 is estimated, then the designs are fitted.  ``Dataset``
+    objects are built only for the bootstrap, which resamples them (the
+    datasets are None without one).
+    """
+    k = cfg.k
+    spec = scenario_spec(k)
+    values = generate_block(cfg, reps)
+    values.setflags(write=False)
+    datasets = None
+    if n_boot or not np.isfinite(values).all():  # a Dataset names the first non-finite value
+        datasets = [Dataset(spec.all_columns(), rep_values) for rep_values in values]
+    # each repetition's replicate block laid out as Dataset.columns returns it,
+    # which sets the summation order of tau2
+    replicates = np.empty((len(reps), k, cfg.n)).swapaxes(-1, -2)
+    replicates[...] = values[..., 1:k + 1]
+    tau2 = [ErrorVariance(value, source="replicates")
+            for value in replicate_tau2(replicates).tolist()]
+    simex_seeds, boot_seeds = [], []
+    # Analysis seeds are drawn in a fixed order (SIMEX seed, then one bootstrap
+    # seed per correction method) so that results for one method do not
+    # depend on which other methods were requested.
+    if "simex" in methods or n_boot:
+        streams = substreams(cfg.seed, [(rep, 1) for rep in reps])
+        for r in range(len(reps)):
+            rng = streams[r]
             simex_seeds.append(draw_seed(rng))
             if n_boot:
                 boot_seeds.append({method: draw_seed(rng) for method in CORRECTION_METHODS})
-    naive, calibration = _stacked_fits(datasets, spec)
+    X = np.empty((len(reps), cfg.n, 2 + len(spec.covariates)))
+    X[..., 0] = 1.0
+    X[..., 1] = values[..., 1]
+    X[..., 2:] = values[..., k + 1:]
+    naive, calibration = correction_fits(X, np.ascontiguousarray(values[..., 0]))
     return spec, datasets, tau2, simex_seeds, boot_seeds, naive, calibration
 
 
@@ -259,7 +278,7 @@ def _analyse_block(prepared, methods, n_boot: int, level: float, simex_config: S
         simex, _, failures["simex"] = simex_estimates(inputs, tau2, simex_config, simex_seeds)
         estimates["simex"] = simex.tolist()
     rows = []
-    for r, data in enumerate(datasets):
+    for r, tau2_value in enumerate(tau2_values):
         row = {}
         if "uncorrected" in methods:
             row["uncorrected"] = estimates["uncorrected"][r]
@@ -277,7 +296,7 @@ def _analyse_block(prepared, methods, n_boot: int, level: float, simex_config: S
             if n_boot:
                 try:
                     lower, upper = bootstrap_ci(
-                        data, spec, method, tau2_values[r], simex_config,
+                        datasets[r], spec, method, tau2_value, simex_config,
                         n_boot=n_boot, level=level, seed=boot_seeds[r][method],
                     )
                 except BootstrapError:

@@ -5,7 +5,8 @@ and a single integer seed.  Independent work units (bootstrap replicates,
 simulation repetitions, sensitivity draws) each get their own generator via
 :func:`substream`, addressed by an index path, so results never depend on
 execution order and re-runs are bit-identical.  :func:`substreams` seeds
-the streams ``(seed, 0)`` to ``(seed, count - 1)`` in one vectorized pass.
+a table of such streams, for one seed or one seed per stream, in one
+vectorized pass.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -43,22 +45,47 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
+_SHIFT = np.uint32(16)
+
+# Below this many streams ``substreams`` seeds each stream with SeedSequence
+# itself.  Measured with Python 3.11.7 and NumPy 2.4.6 on one vCPU of a
+# 2-vCPU Xeon host, in a tight loop: the array pass costs a fixed 68-80 us up
+# to 40 streams, SeedSequence 10.5-11.5 us a stream, so they break even at
+# 6-7 streams.  Inside a correction the array pass's ~40 NumPy calls are not
+# hot in cache and cost more, hence 8.
+_ARRAY_PASS_FROM = 8
 
 
-def _hashmix(value, const: int, mult: int = _MULT_A):
-    """One hash step of a word (a Python int or a uint32 array): (hashed value, next constant)."""
-    value = value ^ const
-    const = (const * mult) & _MASK32
-    value = (value * const) & _MASK32
-    return value ^ (value >> 16), const
+@lru_cache(maxsize=8)
+def _hash_constants(start: int, mult: int, steps: int) -> np.ndarray:
+    """The hash constants of ``steps`` hash steps as a read-only (steps + 1, 1) uint32 column.
+
+    Hash step t xors its word with entry t and multiplies it by entry t + 1.
+    """
+    consts = [start]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    consts.setflags(write=False)  # one array serves every caller
+    return consts
 
 
-def _mix(x, y):
-    """SeedSequence's mix of two words, Python ints or uint32 arrays."""
-    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-    return result ^ (result >> 16)
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of uint32 ``words``, row t with the constants of step t.
+
+    ``consts`` is a slice of :func:`_hash_constants` one longer than the steps
+    it serves; uint32 arithmetic wraps as the C code's does.
+    """
+    words = (words ^ consts[:-1]) * consts[1:]
+    return words ^ (words >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 words, elementwise."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _SHIFT)
 
 
 def _words32(n: int) -> list[int]:
@@ -67,6 +94,33 @@ def _words32(n: int) -> list[int]:
     while n := n >> 32:
         words.append(n & _MASK32)
     return words
+
+
+def _seed_words(entropy: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The (count, 4) uint64 words ``SeedSequence.generate_state(4, np.uint64)`` gives each stream.
+
+    ``entropy`` holds the seeds' 32-bit words, zero-padded to at least the
+    pool size, one column per seed (a single column serves every stream);
+    ``keys`` holds one row of spawn-key words per stream.  The hash steps'
+    constants do not depend on the data, so each step runs once over all
+    streams, the three or four steps that read one pool word at once.
+    """
+    extra = [*entropy[_POOL_SIZE:], *keys.T]  # words mixed into the full pool
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(extra)))
+    pool = _hashmix(entropy[:_POOL_SIZE], consts[:_POOL_SIZE + 1])
+    step = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        others = [dst for dst in range(_POOL_SIZE) if dst != src]
+        pool[others] = _mix(pool[others], _hashmix(pool[src], consts[step:step + _POOL_SIZE]))
+        step += _POOL_SIZE - 1
+    for word in extra:
+        pool = _mix(pool, _hashmix(word, consts[step:step + _POOL_SIZE + 1]))
+        step += _POOL_SIZE
+    # eight output words, pool word i % 4 for word i
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]],
+                     _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    # pairs of 32-bit words, low word first
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
 
 class _SeedWords(ISeedSequence):
@@ -82,7 +136,7 @@ class _SeedWords(ISeedSequence):
 
 
 class Substreams:
-    """The generators ``substream(seed, i)``, each built on demand from its seed words.
+    """A table of generators, each built on demand from its seed words.
 
     ``words`` is a (count, 4) uint64 array: the words PCG64 seeds stream ``i``
     from, 32 bytes a stream, so a table of streams pickles cheaply.
@@ -98,59 +152,81 @@ class Substreams:
         return len(self.words)
 
     def __getitem__(self, index) -> np.random.Generator:
-        words = self.words[operator.index(index)]
-        return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        index = operator.index(index)
+        if not 0 <= index < len(self.words):
+            raise IndexError(f"stream {index} of a table of {len(self.words)}")
+        return np.random.Generator(np.random.PCG64(_SeedWords(self.words[index])))
 
 
-def substreams(seed: int, count: int) -> Substreams:
-    """The generators ``substream(seed, i)`` for ``i in range(count)``, bit for bit.
+def _check_path_words(smallest, largest) -> None:
+    if smallest < 0 or largest > _MASK32:
+        raise ValueError("path words must be in [0, 2**32)")
 
-    SeedSequence hashes the entropy words of ``seed`` (padded to its pool of
-    four words), then the spawn key ``i``, then draws eight output words.  The
-    seed's part is the same for every ``i``, so it is mixed once in Python
-    ints; the key and output steps, whose multipliers do not depend on the
-    data, run once over uint32 arrays of all ``count`` keys.  PCG64 then runs
-    its own seeding step on each stream's words.
+
+def substreams(seeds, keys) -> Substreams:
+    """The generators ``substream(seeds[i], *keys[i])``, bit for bit, as one table.
+
+    ``keys`` holds one path per stream: a 1-D array of one-word paths or a
+    (count, 2) array of two-word paths, each word in [0, 2**32).  ``seeds`` is
+    one nonnegative seed for every stream or one per stream.
+
+    SeedSequence hashes the entropy words of a seed, zero-padded to its pool
+    of four words, then the path's words, then draws eight output words.  The
+    hash steps run over uint32 arrays of all streams at once (the words of a
+    shared seed once); PCG64 then runs its own seeding step on each stream's
+    words.  Below ``_ARRAY_PASS_FROM`` streams, or with a per-stream seed of
+    2**64 or more, SeedSequence itself seeds each stream.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    if not 0 <= count <= 2**32:
-        raise ValueError(f"count must be in [0, 2**32], got {count}")
-    entropy = _words32(int(seed))
-    entropy += [0] * (_POOL_SIZE - len(entropy))  # a spawn key follows: pad to the pool
-    const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
-    keys = np.arange(count, dtype=np.uint32)
-    pool = [np.full(count, word, dtype=np.uint32) for word in pool]
-    for dst in range(_POOL_SIZE):
-        value, const = _hashmix(keys, const)
-        pool[dst] = _mix(pool[dst], value)
-    state = np.empty((count, 2 * _POOL_SIZE), dtype=np.uint32)
-    const = _INIT_B
-    for dst in range(2 * _POOL_SIZE):
-        state[:, dst], const = _hashmix(pool[dst % _POOL_SIZE], const, _MULT_B)
-    # pairs of 32-bit words, low word first, as SeedSequence.generate_state(4, np.uint64)
-    return Substreams(state.astype("<u4").view("<u8").astype(np.uint64))
+    keys = np.asarray(keys)
+    if keys.ndim == 1:
+        keys = keys[:, None]
+    if keys.ndim != 2 or keys.shape[1] not in (1, 2) or (
+            keys.size and keys.dtype.kind not in "iu"):
+        raise ValueError(f"keys must be one- or two-word integer paths, got shape {keys.shape}")
+    count = len(keys)
+    shared = isinstance(seeds, (int, np.integer))
+    seeds = [operator.index(seeds)] if shared else [operator.index(s) for s in seeds]
+    if not shared and len(seeds) != count:
+        raise ValueError(f"{len(seeds)} seeds for {count} streams")
+    if seeds and min(seeds) < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {min(seeds)}")
+    if count < _ARRAY_PASS_FROM or (not shared and max(seeds) > 2**64 - 1):
+        # few streams: per-stream SeedSequence calls and plain Python cost less
+        # than the array pass's fixed number of NumPy calls
+        paths = keys.tolist()
+        if paths:
+            _check_path_words(min(map(min, paths)), max(map(max, paths)))
+        if shared:
+            seeds *= count
+        # eight 32-bit words a stream, the words of generate_state(4, np.uint64)
+        state = [np.random.SeedSequence(seed, spawn_key=path).generate_state(2 * _POOL_SIZE)
+                 for seed, path in zip(seeds, paths)]
+        return Substreams(np.array(state, dtype="<u4").view("<u8").reshape(count, 4))
+    _check_path_words(keys.min(), keys.max())
+    if shared:
+        words = _words32(seeds[0])
+        entropy = np.array(words + [0] * (_POOL_SIZE - len(words)), dtype=np.uint32)[:, None]
+    else:
+        entropy = np.zeros((_POOL_SIZE, count), dtype=np.uint32)
+        entropy[:2] = np.array(seeds, dtype="<u8").view("<u4").reshape(count, 2).T
+    return Substreams(_seed_words(entropy, keys.astype(np.uint32)))
+
+
+def _require(obj, names, kinds, what: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def require_integers(obj, *names: str) -> None:
     """Raise ValueError unless each named attribute of ``obj`` is a non-bool integer."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _require(obj, names, (int, np.integer), "an integer")
+
+
+def require_reals(obj, *names: str) -> None:
+    """Raise ValueError unless each named attribute of ``obj`` is a non-bool real number."""
+    _require(obj, names, (int, float, np.integer, np.floating), "a real number")
 
 
 def draw_seed(rng: np.random.Generator) -> int:

@@ -54,12 +54,21 @@ def base_scenario_dataset(n=500, rep_index=0, seed=12, **knobs):
     return generate_dataset(cfg, rep_index), scenario_spec(cfg.k)
 
 
-def constant_age(cfg, rep):
-    """``generate_dataset`` with age held at 30: the naive design is rank deficient."""
-    data = generate_dataset(cfg, rep)
-    values = np.array(data.values)
-    values[:, data.column_index("age")] = 30.0
-    return Dataset(data.column_names, values)
+def constant_age(generate, held=None):
+    """A ``generate_block`` whose repetitions in ``held`` (all by default) have age 30.
+
+    The naive design of such a repetition is rank deficient.  ``generate`` is
+    the block generator to wrap, ``simstudy.generate_block`` in the tests
+    that replace it with this one.
+    """
+    def generate_block(cfg, reps):
+        values = generate(cfg, reps)
+        age = scenario_spec(cfg.k).all_columns().index("age")
+        for r, rep in enumerate(reps):
+            if held is None or rep in held:
+                values[r, :, age] = 30.0
+        return values
+    return generate_block
 
 
 def run_repetition(cfg, rep, methods, n_boot, level, simex_config):
@@ -68,7 +77,9 @@ def run_repetition(cfg, rep, methods, n_boot, level, simex_config):
     The reference for ``run_scenario``, which analyses repetitions in blocks.
     Returns method -> (estimate, ci_lower, ci_upper), or the reason the method
     failed (``"infeasible"``, ``"singular"`` or ``"bootstrap"``).  The dataset
-    comes from ``simstudy.generate_dataset``, so a test may replace it.
+    comes from ``simstudy.generate_dataset``, which draws it with
+    ``simstudy.generate_block``, so a test that replaces the block generator
+    changes this repetition's data too.
     """
     data = simstudy.generate_dataset(cfg, rep)
     spec = scenario_spec(cfg.k)

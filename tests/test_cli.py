@@ -312,6 +312,20 @@ def test_simulate_scenarios_file(tmp_path):
     assert payload[0]["scenario"]["name"] == "quick"
 
 
+@pytest.mark.parametrize("scenario", [{"tau2": "30"}, {"tau2": None}, {"gamma": [1]},
+                                      {"tau2": True}, {"sigma2": "1"}])
+def test_non_numeric_scenario_fields_are_runtime_errors(tmp_path, scenario, capsys):
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps([scenario]))
+    code, out, err = run_main(["simulate", "--scenarios-file", str(path), "--reps", "2",
+                               "--out-dir", str(tmp_path / "out")], capsys)
+    knob = next(iter(scenario))
+    assert code == 1, err
+    assert err.startswith(f"mecalib: error during simulation study: {knob} must be a real number")
+    assert len(err.splitlines()) == 1 and out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("full", [(), ("--full",)])
 def test_simulate_all_runs_all_22_scenarios(tmp_path, full):
     out = io.StringIO()

@@ -248,7 +248,7 @@ def test_repetition_fits_twice(monkeypatch):
 
 
 def test_singular_repetition_fails_as_before(monkeypatch):
-    monkeypatch.setattr(simstudy, "generate_dataset", constant_age)
+    monkeypatch.setattr(simstudy, "generate_block", constant_age(simstudy.generate_block))
     cfg = replace(scenario_grid(n_reps=1)[0], n=50)
     rest = (0, 0.95, SimexConfig(n_sim=5))
     with pytest.raises(SingularDesignError):

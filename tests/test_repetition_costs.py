@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import mecalib
+import mecalib.simstudy as simstudy
 from mecalib import (
     ErrorVariance,
     ScenarioConfig,
@@ -106,15 +107,15 @@ def test_import_leaves_scipy_stats_out():
 
 def test_generate_dataset_keeps_its_array(monkeypatch):
     made = []
-    column_stack = np.column_stack
+    generate_block = simstudy.generate_block
 
-    def recording(*args, **kwargs):
-        made.append(column_stack(*args, **kwargs))
+    def recording(cfg, reps):
+        made.append(generate_block(cfg, reps))
         return made[-1]
 
-    monkeypatch.setattr(np, "column_stack", recording)
+    monkeypatch.setattr(simstudy, "generate_block", recording)
     data = generate_dataset(ScenarioConfig(n=50, n_reps=1), 0)
-    assert data.values is made[-1]
+    assert data.values.base is made[-1]
     assert not data.values.flags.writeable
 
 

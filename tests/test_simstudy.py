@@ -217,6 +217,15 @@ def test_scenario_config_validation():
         ScenarioConfig(n_reps=2.5)
 
 
+@pytest.mark.parametrize("knob", ["tau2", "sigma2", "gamma"])
+@pytest.mark.parametrize("value", ["30", None, [1], True, False, 1 + 0j])
+def test_scenario_knobs_must_be_real_numbers(knob, value):
+    with pytest.raises(ValueError, match=f"{knob} must be a real number, got"):
+        ScenarioConfig(**{knob: value})
+    for number in (30, 30.0, np.float64(30.0), np.int64(30)):
+        assert getattr(ScenarioConfig(**{knob: number}), knob) == 30
+
+
 # --------------------------------------------------------------------------
 # scenario files and the study report
 # --------------------------------------------------------------------------

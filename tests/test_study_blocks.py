@@ -16,24 +16,36 @@ import pytest
 
 import mecalib.simstudy as simstudy
 from mecalib import (
+    Dataset,
     ErrorVariance,
     ScenarioConfig,
     SimexConfig,
     SingularDesignError,
     correct_simex,
     emit_study_report,
+    estimate_tau2_from_replicates,
+    generate_dataset,
     run_scenario,
     scenario_spec,
 )
 from mecalib.simstudy import (
+    AGE_EFFECT,
+    AGE_MEAN,
+    AGE_VAR,
     BLOCK_REPS,
+    BP_INTERCEPT,
+    BP_VAR_GIVEN_AGE,
     FAILURE_REASONS,
     METHODS,
+    OUTCOME_INTERCEPT,
+    TRUE_EFFECT,
     _block_bounds,
+    _prepare_block,
     _run_block,
     _summarize_method,
     scenario_grid,
 )
+from mecalib.util import substream
 
 from conftest import constant_age, run_repetition
 
@@ -91,6 +103,33 @@ def test_block_of_one_equals_the_full_block(n_boot):
         assert one_by_one(job) == _run_block(job), cfg.name
 
 
+def reference_values(cfg, rep):
+    """One repetition's values, drawn alone from sub-stream (seed, rep) in the documented order."""
+    rng = substream(cfg.seed, rep)
+    n, k = cfg.n, cfg.k
+    age = rng.normal(AGE_MEAN, np.sqrt(AGE_VAR), n)
+    bp = BP_INTERCEPT + cfg.gamma * age + rng.normal(0.0, np.sqrt(BP_VAR_GIVEN_AGE), n)
+    replicate_errors = rng.normal(0.0, np.sqrt(cfg.tau2), (n, k))
+    creatinine = (OUTCOME_INTERCEPT + TRUE_EFFECT * bp + AGE_EFFECT * age
+                  + rng.normal(0.0, np.sqrt(cfg.sigma2), n))
+    return np.column_stack([creatinine, bp[:, None] + replicate_errors, age])
+
+
+def test_block_stack_and_tau2_equal_each_repetition_alone():
+    # k=10 among the scenarios: there the summation order of tau2 depends on
+    # how each repetition's replicate columns are laid out in memory
+    for cfg in small_grid(n_reps=20):
+        for reps in (range(0, 20), range(7, 9)):
+            values = simstudy.generate_block(cfg, reps)
+            spec, _, tau2, *_ = _prepare_block(cfg, reps, METHODS, 0)
+            assert values.shape == (len(reps), cfg.n, cfg.k + 2)
+            for r, rep in enumerate(reps):
+                alone = Dataset(spec.all_columns(), reference_values(cfg, rep))
+                assert np.array_equal(values[r], alone.values), (cfg.name, rep)
+                assert np.array_equal(generate_dataset(cfg, rep).values, alone.values)
+                assert tau2[r] == estimate_tau2_from_replicates(alone, spec), (cfg.name, rep)
+
+
 def as_text(summary):
     """A summary as JSON text: NaN metrics (no intervals) compare equal."""
     return json.dumps(asdict(summary))
@@ -124,9 +163,7 @@ def test_block_bounds():
 
 
 def test_singular_repetition_inside_a_block(monkeypatch):
-    generate = simstudy.generate_dataset
-    monkeypatch.setattr(simstudy, "generate_dataset",
-                        lambda cfg, rep: constant_age(cfg, rep) if rep == 2 else generate(cfg, rep))
+    monkeypatch.setattr(simstudy, "generate_block", constant_age(simstudy.generate_block, {2}))
     cfg = replace(scenario_grid(n_reps=5, seed=4)[0], n=80)
     rows = _run_block((cfg, 0, 5, ("rc", "simex"), 0, 0.95, SIMEX))
     assert rows[2] == {"rc": "singular", "simex": "singular"}
@@ -141,7 +178,7 @@ def test_singular_repetition_inside_a_block(monkeypatch):
 
 
 def test_constant_age_fails_every_correction_as_singular(monkeypatch):
-    monkeypatch.setattr(simstudy, "generate_dataset", constant_age)
+    monkeypatch.setattr(simstudy, "generate_block", constant_age(simstudy.generate_block))
     cfg = replace(scenario_grid(n_reps=3)[0], n=50)
     rows = [row["rc"] for row in _run_block((cfg, 0, 3, ("rc", "simex"), 0, 0.95, SIMEX))]
     assert rows == ["singular"] * 3
@@ -150,15 +187,20 @@ def test_constant_age_fails_every_correction_as_singular(monkeypatch):
 
 
 def test_simex_overflow_in_a_block_aborts_with_the_same_error(monkeypatch):
-    estimate = simstudy.estimate_tau2_from_replicates
+    # No dataset's replicates estimate tau2 = 1e308 (their sum of squares
+    # overflows first), so the block's tau2 step is replaced.
+    estimate = simstudy.replicate_tau2
     data_of_rep_3 = simstudy.generate_dataset(scenario_grid(n_reps=6)[0], 3)
+    replicates_of_rep_3 = data_of_rep_3.columns(scenario_spec(3).exposure_replicates)
 
-    def huge_at_rep_3(data, spec):
-        if np.array_equal(data.values, data_of_rep_3.values):
-            return ErrorVariance(1e308, source="replicates")
-        return estimate(data, spec)
+    def huge_at_rep_3(replicates):
+        tau2 = np.array(estimate(replicates))
+        for r, block in enumerate(replicates):
+            if np.array_equal(block, replicates_of_rep_3):
+                tau2[r] = 1e308
+        return tau2
 
-    monkeypatch.setattr(simstudy, "estimate_tau2_from_replicates", huge_at_rep_3)
+    monkeypatch.setattr(simstudy, "replicate_tau2", huge_at_rep_3)
     cfg = scenario_grid(n_reps=6)[0]
     with pytest.raises(ValueError) as alone:
         correct_simex(data_of_rep_3, scenario_spec(cfg.k), ErrorVariance(1e308), SIMEX)

@@ -1,8 +1,8 @@
-"""Differential tests of the one-pass replicate seeding against one stream at a time.
+"""Differential tests of the one-pass stream seeding against one stream at a time.
 
-``substreams(seed, count)`` re-implements NumPy's SeedSequence hash over
+``substreams(seeds, keys)`` re-implements NumPy's SeedSequence hash over
 arrays, and ``bootstrap_ci`` pools tau2 from per-row sums of squares; both
-are checked bit for bit against the plain per-replicate path.
+are checked bit for bit against the plain per-stream path.
 """
 
 from dataclasses import replace
@@ -20,37 +20,99 @@ from mecalib import (
     correct_simex,
     estimate_tau2_from_replicates,
 )
-from mecalib.util import Substreams, draw_seed, substream, substreams
+from mecalib.util import _ARRAY_PASS_FROM, Substreams, draw_seed, substream, substreams
 
 from conftest import base_scenario_dataset
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**199 + 0x9E3779B97F4A7C15]
 
 
+# Stream counts on both sides of the break-even below which each stream is
+# seeded by SeedSequence itself.
+COUNTS = [1, _ARRAY_PASS_FROM - 1, _ARRAY_PASS_FROM, 50]
+
+
+def assert_same_stream(actual, expected):
+    assert np.array_equal(actual.integers(0, 1000, size=7), expected.integers(0, 1000, size=7))
+    assert np.array_equal(actual.standard_normal(5), expected.standard_normal(5))
+    assert np.array_equal(actual.chisquare(3.5, 5), expected.chisquare(3.5, 5))
+
+
 @pytest.mark.parametrize("count", [1, 50, 1000])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_substreams_equal_substream(seed, count):
-    streams = substreams(seed, count)
+    streams = substreams(seed, np.arange(count))
     assert len(streams) == count
     for index in range(count):
-        expected, actual = substream(seed, index), streams[index]
-        assert np.array_equal(actual.integers(0, 1000, size=7), expected.integers(0, 1000, size=7))
-        assert np.array_equal(actual.standard_normal(5), expected.standard_normal(5))
-        assert np.array_equal(actual.chisquare(3.5, 5), expected.chisquare(3.5, 5))
+        assert_same_stream(streams[index], substream(seed, index))
+
+
+@pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_two_word_paths_equal_substream(seed, count):
+    paths = [(3 * i, i % 2) for i in range(count - 1)] + [(2**32 - 1, 2**32 - 1)]
+    streams = substreams(seed, paths)
+    assert len(streams) == count
+    for index, path in enumerate(paths):
+        assert_same_stream(streams[index], substream(seed, *path))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("count", COUNTS + [300])
+def test_a_seed_per_stream_equals_substream(count, width):
+    rng = np.random.default_rng(count)
+    # the seeds cycle through SEEDS (the 200-bit one among them, past six
+    # streams), then random 63-bit seeds
+    seeds = [*SEEDS[:count], *(draw_seed(rng) for _ in range(count - len(SEEDS)))]
+    paths = rng.integers(0, 2**32, size=(count, width))
+    streams = substreams(seeds, paths)
+    assert len(streams) == count
+    for index, (seed, path) in enumerate(zip(seeds, paths.tolist())):
+        assert_same_stream(streams[index], substream(seed, *path))
+    words64 = [seed % 2**64 for seed in seeds]  # the array pass without the long seed
+    table = substreams(words64, paths)
+    for index, (seed, path) in enumerate(zip(words64, paths.tolist())):
+        expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)
+        assert np.array_equal(table.words[index], expected)
 
 
 def test_substreams_validate_arguments():
-    assert len(substreams(3, 0)) == 0
-    with pytest.raises(ValueError, match="seed"):
-        substreams(-1, 5)
-    with pytest.raises(ValueError, match="count"):
-        substreams(3, -1)
+    assert len(substreams(3, np.arange(0))) == 0
+    assert len(substreams([], np.arange(0))) == 0
+    for count in (5, 50):
+        with pytest.raises(ValueError, match="seed"):
+            substreams(-1, np.arange(count))
+        with pytest.raises(ValueError, match="seed"):
+            substreams([3] * (count - 1) + [-1], np.arange(count))
+        with pytest.raises(ValueError, match="2 seeds for"):
+            substreams([3, 4], np.arange(count))
+        for bad in (-1, 2**32):
+            with pytest.raises(ValueError, match="path words"):
+                substreams(3, [*range(count - 1), bad])
+    with pytest.raises(ValueError, match="paths"):
+        substreams(3, np.zeros((4, 3), dtype=int))
+    with pytest.raises(ValueError, match="paths"):
+        substreams(3, np.arange(4.0))
+    with pytest.raises(ValueError, match="paths"):
+        substreams(3, 4)
+    streams = substreams(3, np.arange(2))
     with pytest.raises(IndexError):
-        substreams(3, 2)[2]
+        streams[2]
     with pytest.raises(TypeError):
-        substreams(3, 2)[0:1]
+        streams[0:1]
     with pytest.raises(ValueError, match="shape"):
         Substreams(np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("count", [3, 50])
+def test_a_negative_stream_index_is_an_index_error(count):
+    # a stray -1 must not address the last stream, which may be another seed's
+    streams = substreams([7] * (count - 1) + [8], np.arange(count))
+    for index in (-1, -count, -count - 1):
+        with pytest.raises(IndexError):
+            streams[index]
+    with pytest.raises(ValueError):
+        substream(7, -1)
 
 
 def reference_bootstrap_ci(data, spec, corrector, tau2, cfg, n_boot, level, seed):
