@@ -8,7 +8,7 @@ when it is not, and ships a Monte Carlo harness that benchmarks the methods
 on synthetic data.
 
 The top level exports the documented analysis API and the exception types;
-lower-level pieces (``ols_fit``, ``extrapolate``, ``correction_fits``, the
+lower-level pieces (``ols_fit``, ``simex_estimates``, ``correction_fits``, the
 samplers, ...) live in their submodules.
 """
 

@@ -352,47 +352,6 @@ def simex_estimates(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds):
     return estimates, values, errors
 
 
-def simex_estimates_per_lambda(
-    data: Dataset, spec: AnalysisSpec, tau2: ErrorVariance, cfg: SimexConfig
-) -> dict[float, float]:
-    """Simulation step: averaged exposure estimates per noise multiplier.
-
-    For every positive lambda on the grid, ``cfg.n_sim`` pseudo datasets are
-    formed by adding independent N(0, lambda * tau2) noise to the exposure
-    column and refit; the mapping lambda -> mean exposure coefficient is
-    returned in grid order.  The lambda = 0 entry is the uncorrected estimate
-    itself with no simulation.  A refit sees the noise only through three
-    numbers (Cook & Stefanski, 1994), drawn exactly as two standard normals
-    and one chi-square per pseudo dataset.  Grid entry i draws from the RNG
-    sub-stream (cfg.seed, i), so the result is reproducible bit for bit.
-    """
-    values, errors = _simex_values(prepare_correction(data, spec), tau2.tau2, cfg, (cfg.seed,))
-    if errors:
-        raise errors[0]
-    return dict(zip(cfg.lambda_grid, values[0].tolist()))
-
-
-def extrapolate(points: Mapping[float, float], extrapolant: str = "quadratic"):
-    """Extrapolation step: fit estimate ~ polynomial(lambda), evaluate at -1.
-
-    At lambda = -1 the total error variance (1 + lambda) * tau2 is zero, so
-    the fitted trend read off there is the error-free prediction.  Returns
-    ``(estimate_at_minus_one, coefficients)`` with coefficients in ascending
-    degree order.
-    """
-    if extrapolant not in EXTRAPOLANT_DEGREE:
-        raise ValueError(f"extrapolant must be linear or quadratic, got {extrapolant!r}")
-    degree = EXTRAPOLANT_DEGREE[extrapolant]
-    lambdas = sorted(points)
-    if len(lambdas) < degree + 1:
-        raise ValueError(
-            f"{extrapolant} extrapolation needs at least {degree + 1} points, got {len(lambdas)}"
-        )
-    weights, at_minus_one = _extrapolation_weights(tuple(lambdas), degree)
-    values = np.array([points[lam] for lam in lambdas], dtype=np.float64)
-    return float(_weighted_sum(values, at_minus_one)), weights @ values
-
-
 def _weighted_sum(values: np.ndarray, weights: np.ndarray):
     """``weights @ row`` for each row of ``values``, added in grid order.
 

@@ -143,7 +143,8 @@ def generate_block(cfg: ScenarioConfig, reps: range) -> np.ndarray:
     Column order: creatinine, bp_star_1..bp_star_k, age.  Repetition ``rep``
     draws from the RNG stream (cfg.seed, rep) in a fixed order (age, bp
     noise, replicate errors, outcome noise), so each dataset is reproducible,
-    independent of the others and of the block it is drawn in.
+    independent of the others and of the block it is drawn in.  A ``gamma``
+    so large that the data overflow float64 raises ``ValueError``.
     """
     n, k = cfg.n, cfg.k
     streams = substreams(cfg.seed, np.arange(reps.start, reps.stop))
@@ -155,10 +156,15 @@ def generate_block(cfg: ScenarioConfig, reps: range) -> np.ndarray:
         bp_noise[r] = rng.normal(0.0, np.sqrt(BP_VAR_GIVEN_AGE), n)
         replicate_errors[r] = rng.normal(0.0, np.sqrt(cfg.tau2), (n, k))
         outcome_noise[r] = rng.normal(0.0, np.sqrt(cfg.sigma2), n)
-    bp = BP_INTERCEPT + cfg.gamma * age + bp_noise
     values = np.empty((len(reps), n, k + 2))
-    values[..., 0] = OUTCOME_INTERCEPT + TRUE_EFFECT * bp + AGE_EFFECT * age + outcome_noise
-    np.add(bp[..., None], replicate_errors, out=values[..., 1:k + 1])
+    try:
+        with np.errstate(over="raise"):
+            bp = BP_INTERCEPT + cfg.gamma * age + bp_noise
+            values[..., 0] = OUTCOME_INTERCEPT + TRUE_EFFECT * bp + AGE_EFFECT * age + outcome_noise
+            np.add(bp[..., None], replicate_errors, out=values[..., 1:k + 1])
+    except FloatingPointError:
+        raise ValueError(f"gamma={cfg.gamma:g} overflows the generated data; "
+                         "lower |gamma|") from None
     values[..., k + 1] = age
     return values
 
@@ -329,11 +335,17 @@ def _run_block(job) -> list[dict]:
     return _analyse_block(prepared, methods, n_boot, level, simex_config)
 
 
+def _reasons(failures) -> str:
+    """The nonzero failure counts, e.g. ``infeasible: 3, singular: 1``."""
+    return ", ".join(f"{reason}: {count}" for reason, count in failures.items() if count)
+
+
 def _summarize_method(method, rows, n_reps):
     values = np.array([r for r in rows if not isinstance(r, str)], dtype=np.float64)
     failures = {reason: rows.count(reason) for reason in FAILURE_REASONS}
     if len(values) == 0:
-        raise SimulationError(f"method {method!r} failed on every repetition")
+        raise SimulationError(
+            f"method {method!r} failed on every repetition ({_reasons(failures)})")
     estimates = values[:, 0]
     r_used = len(estimates)
     mean_estimate = float(estimates.mean())
@@ -414,7 +426,7 @@ def run_scenario(
         if perf.n_failures > max_failure_fraction * cfg.n_reps:
             raise SimulationError(
                 f"scenario {cfg.name!r}: {perf.n_failures} of {cfg.n_reps} "
-                f"repetitions failed for method {method!r}"
+                f"repetitions failed for method {method!r} ({_reasons(perf.failures)})"
             )
         performances[method] = perf
     return PerformanceSummary(

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -19,8 +20,25 @@ from mecalib import (
     scenario_spec,
     wald_interval,
 )
-from mecalib.correct import CORRECTION_METHODS, CorrectionInputs, correction_steps
+from mecalib.correct import (
+    CORRECTION_METHODS,
+    EXTRAPOLANT_DEGREE,
+    CorrectionInputs,
+    _extrapolation_weights,
+    _simex_values,
+    _weighted_sum,
+    correction_steps,
+    prepare_correction,
+)
 from mecalib.util import draw_seed, substream
+
+
+@pytest.fixture(autouse=True)
+def csv_cache_dir(tmp_path_factory, monkeypatch):
+    """A fresh, empty ``load_csv`` cache directory for each test (and its subprocesses)."""
+    path = tmp_path_factory.mktemp("csv-cache")
+    monkeypatch.setenv("MECALIB_CACHE_DIR", str(path))
+    return path
 
 
 @pytest.fixture
@@ -116,3 +134,38 @@ def run_repetition(cfg, rep, methods, n_boot, level, simex_config):
                 continue
         out[method] = (estimate, lower, upper)
     return out
+
+
+def simex_estimates_per_lambda(data, spec, tau2, cfg) -> dict[float, float]:
+    """SIMEX simulation step of one dataset: lambda -> mean pseudo estimate, in grid order.
+
+    The lambda = 0 entry is the uncorrected estimate.  Grid entry i draws
+    from the RNG sub-stream (cfg.seed, i), as ``correct_simex`` does.  Not an
+    oracle: it runs the library's own lambda pass (``_simex_values``) on one
+    dataset, so tests can check that pass against independent references.
+    """
+    values, errors = _simex_values(prepare_correction(data, spec), tau2.tau2, cfg, (cfg.seed,))
+    if errors:
+        raise errors[0]
+    return dict(zip(cfg.lambda_grid, values[0].tolist()))
+
+
+def extrapolate(points: Mapping[float, float], extrapolant: str = "quadratic"):
+    """Extrapolation step on a lambda map: fit estimate ~ polynomial(lambda), evaluate at -1.
+
+    Returns ``(estimate_at_minus_one, coefficients)`` with coefficients in
+    ascending degree order.  Not an oracle: it reads the library's cached
+    least-squares weights (``_extrapolation_weights``), the ones
+    ``correct_simex`` extrapolates with, so tests can check them.
+    """
+    if extrapolant not in EXTRAPOLANT_DEGREE:
+        raise ValueError(f"extrapolant must be linear or quadratic, got {extrapolant!r}")
+    degree = EXTRAPOLANT_DEGREE[extrapolant]
+    lambdas = sorted(points)
+    if len(lambdas) < degree + 1:
+        raise ValueError(
+            f"{extrapolant} extrapolation needs at least {degree + 1} points, got {len(lambdas)}"
+        )
+    weights, at_minus_one = _extrapolation_weights(tuple(lambdas), degree)
+    values = np.array([points[lam] for lam in lambdas], dtype=np.float64)
+    return float(_weighted_sum(values, at_minus_one)), weights @ values

@@ -31,12 +31,11 @@ from mecalib import (
     run_sensitivity,
     scenario_spec,
 )
-from mecalib.correct import extrapolate, simex_estimates_per_lambda
 from mecalib.linreg import ols_fit
 from mecalib.sensitivity import sample_tau2
 from mecalib.util import DEFAULT_SEED
 
-from conftest import base_scenario_dataset
+from conftest import base_scenario_dataset, extrapolate, simex_estimates_per_lambda
 from test_sensitivity import ks_statistic, triangular_cdf
 
 R = 1000

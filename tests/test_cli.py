@@ -326,6 +326,21 @@ def test_non_numeric_scenario_fields_are_runtime_errors(tmp_path, scenario, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scenario, message", [
+    ({"gamma": 1e307, "n": 50}, "gamma=1e+307 overflows the generated data; lower |gamma|"),
+    ({"tau2": 1e306, "n": 50}, "method 'rc' failed on every repetition (infeasible: 3)"),
+])
+def test_simulate_failure_is_one_line_naming_its_cause(tmp_path, scenario, message):
+    # a fresh interpreter with default warning filters: a stray RuntimeWarning would print
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps([scenario]))
+    proc = run_cli("simulate", "--scenarios-file", str(path), "--reps", "3",
+                   "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr == f"mecalib: error during simulation study: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("full", [(), ("--full",)])
 def test_simulate_all_runs_all_22_scenarios(tmp_path, full):
     out = io.StringIO()

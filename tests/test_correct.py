@@ -21,13 +21,13 @@ from mecalib import (
     estimate_tau2_from_replicates,
     fit_uncorrected,
 )
-from mecalib.correct import extrapolate, simex_estimates_per_lambda
 from mecalib.data import design_matrix
 from mecalib.linreg import ols_fit
 from mecalib import correct, linreg, util
 from mecalib.util import substream
 
-from conftest import base_scenario_dataset, exact_line_dataset
+from conftest import (base_scenario_dataset, exact_line_dataset, extrapolate,
+                      simex_estimates_per_lambda)
 from test_linreg import svd_ols_fit
 
 

@@ -2,12 +2,16 @@
 
 The per-cell path (``csv`` + ``float`` per cell) is the oracle: every file
 must load to the same ``Dataset`` bit for bit, or fail with the same
-``DataError`` text, whichever body parser runs.
+``DataError`` text, whichever body parser runs.  A load from the body cache
+must give the same bits or the same error as a load that parses.
 """
 
+import os
 import random
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -20,20 +24,30 @@ from mecalib.util import write_csv_rows
 SPEC = AnalysisSpec("y", ("x",))
 
 
-def outcome(path, monkeypatch, per_cell):
+def load_outcome(path):
     """``("ok", names, shape, bytes)`` or ``("error", message)`` for one load."""
-    with monkeypatch.context() as patch:
-        if per_cell:
-            patch.setattr(data_module, "_loadtxt_rows", lambda handle, width: None)
-        try:
-            data = load_csv(path, SPEC)
-        except DataError as exc:
-            return ("error", str(exc))
+    try:
+        data = load_csv(path, SPEC)
+    except DataError as exc:
+        return ("error", str(exc))
     assert not data.values.flags.writeable
     return ("ok", data.column_names, data.values.shape, data.values.tobytes())
 
 
-def fast_path_used(path, monkeypatch):
+def outcome(path, monkeypatch, per_cell):
+    """:func:`load_outcome` against a cold cache, so one of the two body parsers runs."""
+    with monkeypatch.context() as patch, tempfile.TemporaryDirectory() as cold:
+        patch.setenv("MECALIB_CACHE_DIR", cold)
+        if per_cell:
+            patch.setattr(data_module, "_loadtxt_rows", lambda handle, width: None)
+        return load_outcome(path)
+
+
+def parses(path, monkeypatch):
+    """One load from the current cache: (C-parser results, :func:`load_outcome`).
+
+    The parser results are [] when no body parser ran.
+    """
     used = []
     original = data_module._loadtxt_rows
 
@@ -44,11 +58,14 @@ def fast_path_used(path, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(data_module, "_loadtxt_rows", recording)
-        try:
-            load_csv(path, SPEC)
-        except DataError:
-            pass
-    return used == [True]
+        result = load_outcome(path)
+    return used, result
+
+
+def fast_path_used(path, monkeypatch):
+    with monkeypatch.context() as patch, tempfile.TemporaryDirectory() as cold:
+        patch.setenv("MECALIB_CACHE_DIR", cold)
+        return parses(path, monkeypatch)[0] == [True]
 
 
 def write_bytes(tmp_path, text, name="data.csv"):
@@ -234,3 +251,206 @@ def test_field_over_the_csv_limit_exits_1_without_traceback(where, tmp_path):
     assert proc.returncode == 1
     assert "field limit" in proc.stderr and str(path) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# -- the body cache ------------------------------------------------------------
+
+def entries(cache_dir):
+    return sorted(name for name in os.listdir(cache_dir) if name.endswith(".npy"))
+
+
+def cold_then_warm(path, monkeypatch):
+    """Outcomes of a load that fills the cache and of the load that follows it."""
+    cold_parses, cold = parses(path, monkeypatch)
+    warm_parses, warm = parses(path, monkeypatch)
+    # a body that loaded comes from the cache; a load that failed parses again
+    assert warm_parses == ([] if cold[0] == "ok" else cold_parses), path.read_bytes()
+    return cold, warm
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_loads_the_same_from_the_cache(name, tmp_path, monkeypatch, csv_cache_dir):
+    path = write_bytes(tmp_path, CORPUS[name][0])
+    cold, warm = cold_then_warm(path, monkeypatch)
+    assert cold == warm == outcome(path, monkeypatch, True)
+    assert len(entries(csv_cache_dir)) == (cold[0] == "ok")
+
+
+def test_random_files_load_the_same_from_the_cache(tmp_path, monkeypatch):
+    rng = random.Random(20261018)
+    for i in range(300):
+        path = write_bytes(tmp_path, random_file(rng), f"random_{i}.csv")
+        cold, warm = cold_then_warm(path, monkeypatch)
+        assert cold == warm, path.read_bytes()
+
+
+def test_a_failing_load_leaves_no_entry(tmp_path, csv_cache_dir):
+    failing = []
+    for name, (text, _) in CORPUS.items():
+        before = entries(csv_cache_dir)
+        if load_outcome(write_bytes(tmp_path, text, f"{name}.csv"))[0] == "error":
+            assert entries(csv_cache_dir) == before, name
+            failing.append(name)
+    assert "missing_spec_column" in failing and len(failing) > 20
+
+
+@pytest.mark.parametrize("where", [0, 4, -2])  # the header, the first cell, the last cell
+def test_one_changed_byte_misses(where, tmp_path, monkeypatch):
+    text = "y,x\n" + "".join(f"{i}.25,{i % 7}\n" for i in range(2000))  # past 8 KiB
+    path = write_bytes(tmp_path, text)
+    first = load_outcome(path)
+    changed = bytearray(path.read_bytes())
+    changed[where] = ord("z") if where == 0 else changed[where] ^ 1  # "z,x", or another digit
+    path.write_bytes(bytes(changed))
+    assert parses(path, monkeypatch)[0] != []
+    second = load_outcome(path)
+    assert second == outcome(path, monkeypatch, True) != first
+
+
+def npz_bytes(values):
+    with tempfile.TemporaryDirectory() as directory:
+        target = os.path.join(directory, "values.npz")
+        np.savez(target, values=values)
+        with open(target, "rb") as handle:
+            return handle.read()
+
+
+# Ways to spoil the entry of a 2-column file; each must be ignored and rewritten.
+GOOD = np.arange(4.0).reshape(2, 2)
+BAD_ENTRIES = {
+    "truncated": lambda entry: entry.write_bytes(entry.read_bytes()[:-5]),
+    "header_only": lambda entry: entry.write_bytes(entry.read_bytes()[:40]),
+    "empty": lambda entry: entry.write_bytes(b""),
+    "wrong_width": lambda entry: np.save(entry, GOOD[:, :-1]),
+    "float32": lambda entry: np.save(entry, GOOD.astype(np.float32)),
+    "big_endian": lambda entry: np.save(entry, GOOD.astype(">f8")),
+    "one_dimensional": lambda entry: np.save(entry, GOOD.ravel()),
+    "no_rows": lambda entry: np.save(entry, GOOD[:0]),
+    "object": lambda entry: np.save(entry, GOOD.astype(object), allow_pickle=True),
+    "npz": lambda entry: entry.write_bytes(npz_bytes(GOOD)),
+    "huge_shape": lambda entry: entry.write_bytes(entry.read_bytes().replace(
+        b"(2, 2), }" + b" " * 13, b"(10000000000000, 2), }")),  # header length kept
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_ENTRIES))
+def test_a_bad_entry_is_ignored_and_rewritten(damage, tmp_path, monkeypatch, csv_cache_dir):
+    path = write_bytes(tmp_path, "y,x\n1.5,2\n3,-4e-3\n")
+    expected = load_outcome(path)
+    [name] = entries(csv_cache_dir)
+    entry = csv_cache_dir / name
+    BAD_ENTRIES[damage](entry)
+    assert parses(path, monkeypatch)[0] == [True]
+    assert load_outcome(path) == expected
+    assert entries(csv_cache_dir) == [name]
+    assert np.load(entry, allow_pickle=False).tobytes() == expected[3]
+    assert parses(path, monkeypatch)[0] == []
+
+
+@pytest.mark.parametrize("where", ["under_a_file", "is_a_file"])
+def test_an_unwritable_cache_still_loads_and_warns_nothing(where, tmp_path, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    cache = blocker / "cache" if where == "under_a_file" else blocker
+    monkeypatch.setenv("MECALIB_CACHE_DIR", str(cache))
+    path = write_bytes(tmp_path, "y,x\n1,2\n3,4\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(2):
+            assert load_outcome(path) == outcome(path, monkeypatch, True)
+            assert parses(path, monkeypatch)[0] == [True]
+    assert caught == []
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "data.csv"]
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_the_cap_evicts_the_least_recently_used_entry(tmp_path, monkeypatch, csv_cache_dir):
+    cap = data_module.CACHE_ENTRIES
+    names = []
+    for i in range(cap):
+        path = write_bytes(tmp_path, f"y,x\n{i},1\n", f"file_{i}.csv")
+        before = set(entries(csv_cache_dir))
+        load_outcome(path)
+        [name] = set(entries(csv_cache_dir)) - before
+        names.append(name)
+        os.utime(csv_cache_dir / name, ns=(i * 10**9, (1000 + i) * 10**9))  # distinct ages
+    assert parses(tmp_path / "file_0.csv", monkeypatch)[0] == []  # a hit: now the newest
+    load_outcome(write_bytes(tmp_path, "y,x\n-1,1\n", "newest.csv"))
+    left = entries(csv_cache_dir)
+    assert len(left) == cap
+    assert names[1] not in left and set(names) - {names[1]} <= set(left)
+
+
+def test_the_cache_directory_follows_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("MECALIB_CACHE_DIR", str(tmp_path / "explicit"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert data_module._cache_dir() == str(tmp_path / "explicit")
+    monkeypatch.delenv("MECALIB_CACHE_DIR")
+    assert data_module._cache_dir() == str(tmp_path / "xdg" / "mecalib")
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    assert data_module._cache_dir() == str(tmp_path / "home" / ".cache" / "mecalib")
+    load_outcome(write_bytes(tmp_path, "y,x\n1,2\n"))
+    home_cache = tmp_path / "home" / ".cache" / "mecalib"
+    assert len(entries(home_cache)) == 1
+    assert os.stat(home_cache).st_mode & 0o777 == 0o700
+
+
+def test_two_fits_sharing_a_cache_write_one_entry(tmp_path, csv_cache_dir):
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(2000, 3)) * [1.0, 10.0, 5.0] + [30.0, 120.0, 32.0]
+    write_csv_rows(tmp_path / "study.csv", ("y", "x", "age"), values)
+
+    def fit(name):
+        return subprocess.Popen(
+            [sys.executable, "-m", "mecalib.cli", "fit", "--input", str(tmp_path / "study.csv"),
+             "--outcome", "y", "--exposure", "x", "--covariates", "age",
+             "--output", str(tmp_path / name)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    procs = [fit("first.csv"), fit("second.csv")]
+    for proc in procs:
+        _, stderr = proc.communicate()
+        assert proc.returncode == 0, stderr
+    assert len(entries(csv_cache_dir)) == 1 and len(os.listdir(csv_cache_dir)) == 1
+    warm = fit("warm.csv")
+    assert warm.communicate()[1] == "" and warm.returncode == 0
+    first = (tmp_path / "first.csv").read_bytes()
+    assert first == (tmp_path / "second.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+
+def test_eviction_keeps_files_the_cache_did_not_write(tmp_path, monkeypatch, csv_cache_dir):
+    foreign = ["results.npy", "A" * 64 + ".npy", "0" * 63 + ".npy", "notes.txt"]
+    for name in foreign:
+        (csv_cache_dir / name).write_bytes(b"kept\n")
+        os.utime(csv_cache_dir / name, ns=(0, 0))  # older than any entry
+    for i in range(data_module.CACHE_ENTRIES + 3):
+        load_outcome(write_bytes(tmp_path, f"y,x\n{i},1\n", f"file_{i}.csv"))
+    left = sorted(os.listdir(csv_cache_dir))
+    assert set(foreign) <= set(left)
+    assert len(left) == len(foreign) + data_module.CACHE_ENTRIES
+    assert all((csv_cache_dir / name).read_bytes() == b"kept\n" for name in foreign)
+
+
+@pytest.mark.parametrize("owner", ["group_writable", "world_writable", "another_user"])
+def test_a_directory_others_may_write_is_neither_read_nor_written(owner, tmp_path, monkeypatch,
+                                                                  csv_cache_dir):
+    path = write_bytes(tmp_path, "y,x\n1.5,2\n3,-4e-3\n")
+    expected = load_outcome(path)
+    [name] = entries(csv_cache_dir)
+    planted = csv_cache_dir / name
+    np.save(planted, GOOD)  # a well-formed entry with other values
+    if owner == "another_user":
+        uid = os.getuid()
+        monkeypatch.setattr(data_module.os, "getuid", lambda: uid + 1)
+    else:
+        os.chmod(csv_cache_dir, 0o770 if owner == "group_writable" else 0o707)
+    try:
+        assert parses(path, monkeypatch)[0] == [True]
+        assert load_outcome(path) == expected
+        other = write_bytes(tmp_path, "y,x\n7,8\n", "other.csv")
+        assert load_outcome(other) == outcome(other, monkeypatch, True)
+        assert entries(csv_cache_dir) == [name]
+        assert np.array_equal(np.load(planted), GOOD)
+    finally:
+        os.chmod(csv_cache_dir, 0o700)

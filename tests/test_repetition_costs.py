@@ -25,10 +25,10 @@ from mecalib import (
     estimate_tau2_from_replicates,
     generate_dataset,
 )
-from mecalib.correct import extrapolate, prepare_correction, simex_estimates_per_lambda
+from mecalib.correct import prepare_correction
 from mecalib.util import substream, write_csv_rows
 
-from conftest import base_scenario_dataset
+from conftest import base_scenario_dataset, extrapolate, simex_estimates_per_lambda
 
 SRC = Path(mecalib.__file__).resolve().parents[1]
 

@@ -1,10 +1,12 @@
 import csv
 import json
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import mecalib.simstudy as simstudy
 from mecalib import (
     ScenarioConfig,
     SimulationError,
@@ -184,8 +186,33 @@ def test_run_scenario_bootstrap_coverage_fields():
 def test_run_scenario_aborts_on_mass_failures():
     # tiny sample with huge error variance: calibration infeasible often
     cfg = small_cfg(n=12, tau2=200.0, n_reps=30, seed=2)
-    with pytest.raises(SimulationError, match="failed"):
+    with pytest.raises(SimulationError, match="failed") as info:
         run_scenario(cfg, methods=("rc",))
+    # the message names the reasons, and they add up to the failures it reports
+    failed, reasons = re.fullmatch(
+        r"scenario 'small': (\d+) of 30 repetitions failed for method 'rc' \((.*)\)",
+        str(info.value)).groups()
+    assert reasons == f"infeasible: {failed}"
+
+
+def test_run_scenario_names_why_every_repetition_failed():
+    with pytest.raises(SimulationError) as info:
+        run_scenario(small_cfg(n=50, tau2=1e306, n_reps=3, seed=1729), methods=("rc",))
+    assert str(info.value) == "method 'rc' failed on every repetition (infeasible: 3)"
+
+
+def test_study_failure_reasons_list_each_nonzero_count():
+    assert simstudy._reasons({"infeasible": 2, "singular": 0, "bootstrap": 1}) == (
+        "infeasible: 2, bootstrap: 1")
+
+
+@pytest.mark.parametrize("gamma", [1e307, -1e307, 1.7e308])
+def test_an_overflowing_gamma_is_one_value_error(gamma):
+    cfg = small_cfg(n=50, gamma=gamma, n_reps=3)
+    with pytest.raises(ValueError, match=r"^gamma=.* overflows the generated data"):
+        generate_dataset(cfg, 0)
+    with pytest.raises(ValueError, match=r"^gamma=.* overflows the generated data"):
+        run_scenario(cfg)
 
 
 def test_run_scenario_rejects_unknown_method():
