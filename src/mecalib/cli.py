@@ -81,13 +81,8 @@ def _print_table(headers, rows):
 
 
 def _num(value, digits=6) -> str:
-    if value is None:
+    if value is None or value != value:  # NaN
         return "-"
-    try:
-        if value != value:  # NaN
-            return "-"
-    except TypeError:
-        pass
     return f"{value:.{digits}g}"
 
 

@@ -144,8 +144,9 @@ def _replicate_sums_of_squares(replicates: np.ndarray) -> np.ndarray:
         raise InsufficientReplicatesError(
             f"need at least 2 replicate columns to estimate tau2, got {replicates.shape[-1]}"
         )
-    deviations = replicates - replicates.mean(axis=-1, keepdims=True)
-    return np.add.reduce(deviations * deviations, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # replicate_tau2 reports overflow
+        deviations = replicates - replicates.mean(axis=-1, keepdims=True)
+        return np.add.reduce(deviations * deviations, axis=-1)
 
 
 def _pooled_tau2(row_sums_of_squares: np.ndarray, n_replicates: int):
@@ -159,9 +160,15 @@ def replicate_tau2(replicates: np.ndarray):
 
     See :func:`estimate_tau2_from_replicates`; a stack (..., n, k) gives an
     array of shape (...), each entry that of its block alone when the blocks
-    are laid out as :func:`_replicate_sums_of_squares` describes.
+    are laid out as :func:`_replicate_sums_of_squares` describes.  Replicates
+    whose squared deviations overflow float64 raise ``ValueError``.
     """
-    return _pooled_tau2(_replicate_sums_of_squares(replicates), replicates.shape[-1])
+    with np.errstate(over="ignore"):
+        tau2 = _pooled_tau2(_replicate_sums_of_squares(replicates), replicates.shape[-1])
+    if not np.isfinite(tau2).all():
+        raise ValueError("the replicate measurements' squared deviations overflow float64; "
+                         "rescale the exposure")
+    return tau2
 
 
 def estimate_tau2_from_replicates(data: Dataset, spec: AnalysisSpec) -> ErrorVariance:

@@ -2,9 +2,9 @@
 
 Instead of a single tau2, the analyst specifies a prior distribution over it
 (uniform, triangular, or trapezoidal), the distribution is sampled by inverse
-transform, and a correction is run per draw.  The spread of the corrected
-estimates across draws shows how much the conclusion depends on the assumed
-amount of measurement error.
+transform, and the draws are corrected in one array pass.  The spread of the
+corrected estimates across draws shows how much the conclusion depends on the
+assumed amount of measurement error.
 """
 
 from __future__ import annotations
@@ -14,14 +14,16 @@ import os
 from dataclasses import dataclass, replace
 from functools import partial
 from statistics import median
+from types import SimpleNamespace
 
 import numpy as np
 
 from .correct import (ErrorVariance, SimexConfig, bootstrap_ci, correction_steps,
-                      prepare_correction)
+                      prepare_correction, rc_estimates, simex_estimates)
 from .data import AnalysisSpec, Dataset
 from .errors import InfeasibleCorrectionError
-from .util import draw_seed, parallel_map, substream, write_csv_rows, write_json
+from .util import (draw_seed, parallel_map, require_integers, require_reals, substream,
+                   substreams, write_csv_rows, write_json)
 
 PLOT_DATA_COLUMNS = ("tau2", "estimate", "ci_lower", "ci_upper", "status")
 
@@ -49,6 +51,8 @@ class ErrorVarianceDistribution:
     def __post_init__(self):
         if self.kind not in ("uniform", "triangular", "trapezoidal"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        require_reals(self, "min", "max", *(name for name in ("mode", "lower_mode", "upper_mode")
+                                            if getattr(self, name) is not None))
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise ValueError("distribution bounds must be finite")
         if self.min < 0.0:
@@ -155,25 +159,18 @@ def _draw_rng(seed: int, index: int):
     return substream(seed, 1, index)
 
 
-def _run_draw(data, spec, method, correct, simex_config, ci, n_boot, level, seed, job):
-    """One draw; ``correct`` is the prepared ``(tau2, cfg)`` step of ``method``."""
-    index, tau2_value = job
-    rng = _draw_rng(seed, index)
-    corrector_seed = draw_seed(rng)
-    ci_seed = draw_seed(rng)
-    error_variance = ErrorVariance(tau2=float(tau2_value), source="external")
-    cfg = replace(simex_config, seed=corrector_seed)
-    try:
-        result = correct(error_variance, cfg)
-        lower = upper = None
-        if ci:
-            lower, upper = bootstrap_ci(
-                data, spec, method, error_variance, cfg,
-                n_boot=n_boot, level=level, seed=ci_seed,
-            )
-        return SensitivityDraw(float(tau2_value), result.estimate, lower, upper, "ok")
-    except InfeasibleCorrectionError:
-        return SensitivityDraw(float(tau2_value), None, None, None, "infeasible")
+# Draws whose SIMEX pseudo estimates are one array pass (about 27 KB a draw at
+# n_sim = 100).  With NumPy 2.4 on one Xeon vCPU, blocks of 16 to 256 draws
+# cost the same per draw at m = 100 and 1000; 8 cost 13% more, 4 40% more.
+SIMEX_BLOCK_DRAWS = 32
+
+
+def _draw_interval(data, spec, method, simex_config, n_boot, level, job):
+    """Bootstrap interval of one draw; ``job`` is its tau2 and its two seeds."""
+    tau2, (corrector_seed, interval_seed) = job
+    return bootstrap_ci(data, spec, method, ErrorVariance(tau2, source="external"),
+                        replace(simex_config, seed=corrector_seed),
+                        n_boot=n_boot, level=level, seed=interval_seed)
 
 
 def run_sensitivity(
@@ -197,36 +194,57 @@ def run_sensitivity(
     draws (tau2 beyond the observed conditional exposure variance) are
     recorded with ``status="infeasible"`` and excluded from the summary; if
     every draw is infeasible the analysis raises instead of returning an
-    empty summary.  Deterministic given ``seed``, whatever ``threads`` is.
-    The tau2-free fits run once; each draw runs only the per-tau2 step.
+    empty summary.  The tau2-free fits run once, and the draws are corrected
+    in one array pass (SIMEX in blocks of ``SIMEX_BLOCK_DRAWS``), each equal
+    to a full correction at its tau2 bit for bit; the first SIMEX draw that
+    overflows raises its ``ValueError``.  ``threads`` parallelises only the
+    bootstrap intervals of the feasible draws.  Deterministic given ``seed``,
+    whatever ``threads`` is.
     """
-    _, apply = correction_steps(method)  # rejects an unknown method first
-    if ci is None:
-        ci = method == "rc"
-    if simex_config is None:
-        simex_config = SimexConfig()
+    require_integers(SimpleNamespace(m=m, seed=seed, threads=threads), "m", "seed", "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if ci is not None and not isinstance(ci, (bool, np.bool_)):
+        raise ValueError(f"ci must be True, False or None, got {ci!r}")
+    correction_steps(method)  # rejects an unknown method
+    ci = method == "rc" if ci is None else ci
+    simex_config = simex_config or SimexConfig()
 
     tau2_draws = sample_tau2(dist, m, seed)
-    correct = partial(apply, prepare_correction(data, spec))  # the tau2-free fits, once
-    worker = partial(_run_draw, data, spec, method, correct, simex_config, ci, n_boot, level, seed)
-    draws = parallel_map(worker, enumerate(tau2_draws), threads=threads)
+    prepared = prepare_correction(data, spec)  # the tau2-free fits, once
+    if method == "simex" or ci:  # (corrector seed, interval seed) as from _draw_rng(seed, i)
+        streams = substreams(seed, np.column_stack((np.ones(m, dtype=np.int64), np.arange(m))))
+        seeds = [(draw_seed(rng), draw_seed(rng)) for rng in map(streams.__getitem__, range(m))]
+    if method == "rc":
+        estimates, _, feasible = (values.tolist() for values in rc_estimates(prepared, tau2_draws))
+    else:
+        estimates, feasible = [], [True] * m
+        for start in range(0, m, SIMEX_BLOCK_DRAWS):
+            block = slice(start, start + SIMEX_BLOCK_DRAWS)
+            values, _, errors = simex_estimates(prepared, tau2_draws[block], simex_config,
+                                                [corrector for corrector, _ in seeds[block]])
+            if errors:
+                raise errors[min(errors)]
+            estimates += values.tolist()
+    tau2_draws = tau2_draws.tolist()
 
-    ok = [d.estimate for d in draws if d.status == "ok"]
+    ok = [i for i in range(m) if feasible[i]]
     if not ok:
         raise InfeasibleCorrectionError(
-            f"all {m} tau2 draws were infeasible; the assumed error variance "
-            "distribution lies entirely at or above the conditional exposure variance"
-        )
-    summary = {
-        "median": float(median(ok)),
-        "min": float(min(ok)),
-        "max": float(max(ok)),
-        "n_ok": len(ok),
-        "n_infeasible": m - len(ok),
-    }
-    return SensitivityResult(
-        method=method, distribution=dist, draws=tuple(draws), summary=summary
+            f"all {m} tau2 draws were infeasible; the assumed error variance distribution lies "
+            "entirely at or above the conditional exposure variance")
+    jobs = [(tau2_draws[i], seeds[i]) for i in ok] if ci else []  # no jobs, no worker process
+    worker = partial(_draw_interval, data, spec, method, simex_config, n_boot, level)
+    intervals = dict(zip(ok, parallel_map(worker, jobs, threads=threads)))
+    draws = tuple(
+        SensitivityDraw(tau2, estimates[i], *intervals.get(i, (None, None)), "ok")
+        if feasible[i] else SensitivityDraw(tau2, None, None, None, "infeasible")
+        for i, tau2 in enumerate(tau2_draws)
     )
+    ok_estimates = [estimates[i] for i in ok]
+    summary = {"median": median(ok_estimates), "min": min(ok_estimates),
+               "max": max(ok_estimates), "n_ok": len(ok), "n_infeasible": m - len(ok)}
+    return SensitivityResult(method=method, distribution=dist, draws=draws, summary=summary)
 
 
 def emit_plot_data(result: SensitivityResult, path: str | os.PathLike) -> tuple[str, str]:

@@ -18,6 +18,7 @@ import mecalib.correct as correct
 import mecalib.linreg as linreg
 import mecalib.sensitivity as sensitivity
 import mecalib.simstudy as simstudy
+import mecalib.util as util
 from mecalib import (
     BootstrapError,
     ErrorVariance,
@@ -38,9 +39,9 @@ from mecalib import (
     wald_interval,
 )
 from mecalib.correct import correction_steps, prepare_correction
-from mecalib.sensitivity import _draw_rng
+from mecalib.sensitivity import SensitivityDraw, _draw_rng
 from mecalib.simstudy import BLOCK_REPS, METHODS, run_scenario, scenario_grid
-from mecalib.util import draw_seed, substream, write_csv_rows
+from mecalib.util import _ARRAY_PASS_FROM, draw_seed, substream, write_csv_rows
 
 from conftest import base_scenario_dataset, constant_age, run_repetition
 
@@ -88,6 +89,119 @@ def test_threads_do_not_change_draws(method, ci):
     serial = run_sensitivity(data, spec, dist, method, **kwargs)
     pooled = run_sensitivity(data, spec, dist, method, threads=2, **kwargs)
     assert pooled == serial
+
+
+def per_draw_loop(data, spec, method, tau2_values, simex_config, seed, ci, n_boot=50):
+    """The draws as a loop of fresh full corrections gives them, seeded from ``_draw_rng``."""
+    corrector = correction_steps(method)[0]
+    draws = []
+    for index, tau2 in enumerate(tau2_values):
+        rng = _draw_rng(seed, index)
+        cfg = replace(simex_config, seed=draw_seed(rng))
+        interval_seed = draw_seed(rng)
+        try:
+            estimate = corrector(data, spec, ErrorVariance(tau2), cfg).estimate
+        except InfeasibleCorrectionError:
+            draws.append(SensitivityDraw(tau2, None, None, None, "infeasible"))
+            continue
+        lower = upper = None
+        if ci:
+            lower, upper = bootstrap_ci(data, spec, method, ErrorVariance(tau2), cfg,
+                                        n_boot=n_boot, seed=interval_seed)
+        draws.append(SensitivityDraw(tau2, estimate, lower, upper, "ok"))
+    return tuple(draws)
+
+
+def partly_infeasible_prior(data, spec):
+    v = conditional_exposure_variance(data, spec)
+    return ErrorVarianceDistribution("uniform", max(v - 8.0, 0.0), v + 4.0)
+
+
+@pytest.mark.parametrize("method, m, simex_config", [
+    ("rc", 1000, SimexConfig()),
+    ("simex", 2 * sensitivity.SIMEX_BLOCK_DRAWS + 1, SimexConfig(n_sim=5)),
+])
+def test_array_pass_equals_the_per_draw_loop(method, m, simex_config):
+    data, spec = base_scenario_dataset(n=200)
+    result = run_sensitivity(data, spec, partly_infeasible_prior(data, spec), method, m=m,
+                             ci=False, simex_config=simex_config, seed=11)
+    tau2 = [draw.tau2 for draw in result.draws]
+    assert tau2 == sensitivity.sample_tau2(partly_infeasible_prior(data, spec), m, 11).tolist()
+    assert result.draws == per_draw_loop(data, spec, method, tau2, simex_config, 11, ci=False)
+    if method == "rc":
+        assert {d.status for d in result.draws} == {"ok", "infeasible"}
+
+
+@pytest.mark.parametrize("method", ["rc", "simex"])
+@pytest.mark.parametrize("m", [1, _ARRAY_PASS_FROM - 1, _ARRAY_PASS_FROM, _ARRAY_PASS_FROM + 1])
+def test_draw_seeds_on_either_side_of_the_array_pass_threshold(method, m):
+    # the draw seeds come from one substreams pass: per-stream SeedSequence
+    # below _ARRAY_PASS_FROM streams, the uint32 array pass from there on
+    data, spec = base_scenario_dataset(n=120)
+    v = conditional_exposure_variance(data, spec)
+    dist = ErrorVarianceDistribution("triangular", v / 4.0, v / 2.0, mode=v / 3.0)
+    cfg = SimexConfig(n_sim=4)
+    result = run_sensitivity(data, spec, dist, method, m=m, ci=True, n_boot=50,
+                             simex_config=cfg, seed=2**40 + 3)
+    tau2 = [draw.tau2 for draw in result.draws]
+    assert result.draws == per_draw_loop(data, spec, method, tau2, cfg, 2**40 + 3, ci=True)
+
+
+@pytest.mark.parametrize("method", ["rc", "simex"])
+def test_zero_and_infeasible_tau2_among_the_draws(method, monkeypatch):
+    data, spec = base_scenario_dataset(n=150)
+    v = conditional_exposure_variance(data, spec)
+    # a SIMEX draw at tau2 = 0 draws no noise; RC is infeasible from tau2 = V on
+    pattern = [0.0, 12.5, 0.0, v, 30.0, v + 1.0, 0.0, 5.0]
+    tau2 = np.array(pattern * 9)  # 72 draws: three SIMEX blocks, the last one partial
+    monkeypatch.setattr(sensitivity, "sample_tau2", lambda dist, m, seed: tau2[:m].copy())
+    cfg = SimexConfig(n_sim=5)
+    dist = ErrorVarianceDistribution("uniform", 0.0, v + 1.0)
+    ci = method == "rc"  # an infeasible draw gets no interval
+    result = run_sensitivity(data, spec, dist, method, m=len(tau2), ci=ci, n_boot=50,
+                             simex_config=cfg, seed=7)
+    assert result.draws == per_draw_loop(data, spec, method, tau2.tolist(), cfg, 7, ci=ci)
+    statuses = {d.status for d in result.draws}
+    assert statuses == ({"ok", "infeasible"} if method == "rc" else {"ok"})
+
+
+def test_simex_overflow_raises_the_lowest_failing_draws_error(monkeypatch):
+    data, spec = base_scenario_dataset(n=150)
+    cfg = SimexConfig(n_sim=5)
+    tau2 = np.full(80, 20.0)
+    # draws 40, 50 and 70 overflow, from the second block on; 40 fails first
+    tau2[[40, 50, 70]] = (1.2e308, 1e308, 1.5e308)
+    monkeypatch.setattr(sensitivity, "sample_tau2", lambda dist, m, seed: tau2.copy())
+    messages = {}
+    for index in (40, 50, 70):
+        draw_cfg = replace(cfg, seed=draw_seed(_draw_rng(9, index)))
+        with pytest.raises(ValueError) as alone:
+            correct_simex(data, spec, ErrorVariance(tau2[index]), draw_cfg)
+        messages[index] = str(alone.value)
+    assert len(set(messages.values())) == 3
+    dist = ErrorVarianceDistribution("uniform", 0.0, 1e308)
+    with pytest.raises(ValueError) as raised:
+        run_sensitivity(data, spec, dist, "simex", m=80, simex_config=cfg, seed=9)
+    assert str(raised.value) == messages[40]
+
+
+@pytest.mark.parametrize("method", ["rc", "simex"])
+def test_no_worker_process_without_intervals(method, monkeypatch):
+    data, spec = base_scenario_dataset(n=150)
+    dist = ErrorVarianceDistribution("triangular", 10.0, 40.0, mode=20.0)
+    kwargs = dict(m=40, ci=False, simex_config=SimexConfig(n_sim=5), seed=5)
+    serial = run_sensitivity(data, spec, dist, method, **kwargs)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(util, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(util.os, "cpu_count", lambda: 4)
+    assert run_sensitivity(data, spec, dist, method, threads=2, **kwargs) == serial
+    # intervals do start the pool
+    with pytest.raises(AssertionError, match="process pool"):
+        run_sensitivity(data, spec, dist, method, threads=2, **{**kwargs, "m": 2, "ci": True,
+                                                               "n_boot": 50})
 
 
 def counting(monkeypatch, module, name, calls=None):

@@ -25,7 +25,7 @@ from mecalib import (
     estimate_tau2_from_replicates,
     generate_dataset,
 )
-from mecalib.correct import prepare_correction
+from mecalib.correct import prepare_correction, replicate_tau2
 from mecalib.util import substream, write_csv_rows
 
 from conftest import base_scenario_dataset, extrapolate, simex_estimates_per_lambda
@@ -145,3 +145,59 @@ def test_simex_overflow_is_a_cli_runtime_error(tmp_path):
     assert "tau2=1e+308" in proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+REPLICATE_OVERFLOW = ("the replicate measurements' squared deviations overflow float64; "
+                      "rescale the exposure")
+
+
+@pytest.mark.parametrize("rows", [
+    [[1e200, -1e200, 3.0], [1.0, 2.0, 3.0]],    # a squared deviation overflows
+    [[1.7e308, 1.7e308, 1.7e308], [1.0, 2.0, 4.0]],  # so does the row sum behind the mean
+    [[1e153, -1e153, 0.0]] * 100,                # each row is finite, their sum is not
+])
+def test_overflowing_replicates_raise_one_value_error(rows):
+    replicates = np.array(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            replicate_tau2(replicates)
+    assert str(excinfo.value) == REPLICATE_OVERFLOW
+
+
+def test_finite_replicate_tau2_is_unchanged():
+    # the estimate before the overflow guard, on a stack and on one block
+    replicates = generate_dataset(ScenarioConfig(n=300), 2).values[:, 1:4]
+    for block in (replicates, np.stack([replicates, replicates[::-1] * 1e150])):
+        deviations = block - block.mean(axis=-1, keepdims=True)
+        sums = np.add.reduce(deviations * deviations, axis=-1)
+        expected = np.add.reduce(sums, axis=-1) / (sums.shape[-1] * 2)
+        assert np.array_equal(replicate_tau2(block), expected)
+
+
+@pytest.mark.parametrize("scenario", ['[{"gamma": 1e200, "n": 50}]', '[{"tau2": 1e308, "n": 50}]'])
+def test_simulated_replicate_overflow_is_one_line(tmp_path, scenario):
+    path = tmp_path / "scenarios.json"
+    path.write_text(scenario)
+    for flags in ((), ("-W", "error::RuntimeWarning")):
+        proc = run_python(*flags, "-m", "mecalib.cli", "simulate", "--scenarios-file", str(path),
+                          "--reps", "3", "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr == f"mecalib: error during simulation study: {REPLICATE_OVERFLOW}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_replicate_overflow_is_a_cli_runtime_error(tmp_path):
+    data, _ = base_scenario_dataset(n=60)
+    values = data.values.copy()
+    values[7, 1:4] = (1e200, -1e200, 5.0)
+    path = tmp_path / "huge.csv"
+    write_csv_rows(path, data.column_names, values)
+    out = tmp_path / "out.json"
+    for flags in ((), ("-W", "error::RuntimeWarning")):
+        proc = run_python(*flags, "-m", "mecalib.cli", "correct", "--input", str(path),
+                          "--outcome", "creatinine", "--replicates",
+                          "bp_star_1,bp_star_2,bp_star_3", "--method", "rc", "--output", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.endswith(f": {REPLICATE_OVERFLOW}\n")
+        assert len(proc.stderr.splitlines()) == 1 and not out.exists()

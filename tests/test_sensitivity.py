@@ -18,6 +18,7 @@ from mecalib import (
     fit_uncorrected,
     run_sensitivity,
 )
+import mecalib.sensitivity as sensitivity
 from mecalib.sensitivity import _draw_rng, sample_tau2, trapezoidal_inverse_cdf
 from mecalib.util import draw_seed, substream
 
@@ -43,6 +44,15 @@ def test_distribution_validation():
         ErrorVarianceDistribution("trapezoidal", 0.0, 1.0)
     with pytest.raises(ValueError, match="min <= lower_mode"):
         ErrorVarianceDistribution("trapezoidal", 0.0, 1.0, lower_mode=0.8, upper_mode=0.2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(min=True), dict(max=True), dict(min="0"), dict(kind="triangular", mode=True),
+    dict(kind="trapezoidal", lower_mode=1.0, upper_mode=np.bool_(True)),
+])
+def test_distribution_parameters_must_be_real_numbers(kwargs):
+    with pytest.raises(ValueError, match="must be a real number"):
+        ErrorVarianceDistribution(**{"kind": "uniform", "min": 0.0, "max": 2.0, **kwargs})
 
 
 def test_triangular_degenerate_support():
@@ -314,6 +324,30 @@ def test_degenerate_prior_reproduces_single_corrector_call():
             data, spec, ErrorVariance(25.0), SimexConfig(n_sim=10, seed=expected_seed)
         ).estimate
         assert draw.estimate == expected
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(m=True), "m must be an integer"),
+    (dict(m=2.5), "m must be an integer"),
+    (dict(seed=2.0), "seed must be an integer"),
+    (dict(seed=True), "seed must be an integer"),
+    (dict(seed=-1), "seed must be a nonnegative integer"),
+    (dict(threads=0), "threads must be at least 1"),
+    (dict(threads=2.0), "threads must be an integer"),
+    (dict(ci="no"), "ci must be True, False or None"),
+    (dict(ci=1), "ci must be True, False or None"),
+    (dict(method="naive"), "corrector must be one of"),
+])
+def test_bad_arguments_raise_before_any_correction(kwargs, message, monkeypatch):
+    data, spec = base_scenario_dataset(n=50)
+
+    def no_work(*args, **kw):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(sensitivity, "prepare_correction", no_work)
+    arguments = {"method": "rc", "m": 5, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        run_sensitivity(data, spec, ErrorVarianceDistribution("uniform", 1.0, 2.0), **arguments)
 
 
 def test_all_infeasible_raises():
