@@ -13,6 +13,7 @@ stage), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -87,6 +88,7 @@ def _num(value, digits=6) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for all four subcommands (``main`` reuses one, see ``_parser``)."""
     parser = argparse.ArgumentParser(
         prog="mecalib",
         description="Measurement error correction and sensitivity analysis "
@@ -154,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sen.add_argument("--tau2-upper-mode", type=float, help="trapezoidal plateau end")
     p_sen.add_argument("--draws", type=_positive_int, default=100, help="number of tau2 draws")
     p_sen.add_argument("--ci", choices=("auto", "on", "off"), default="auto",
-                       help="per-draw bootstrap CIs (auto: on for rc, off for simex)")
+                       help="per-draw bootstrap CIs (auto: on for rc unless --n-boot is 0, "
+                            "off for simex)")
     add_simex_flags(p_sen)
     add_common_flags(p_sen, n_boot_default=199)
     p_sen.add_argument("--output", required=True,
@@ -175,6 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-dir", default="study_report",
                        help="directory for the report CSVs and summaries.json")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process, built on the first.
+
+    Parsing only reads the parser and fills a fresh namespace, so one parser
+    serves any number of calls; building it costs far more than a parse.
+    """
+    return build_parser()
 
 
 def _analysis_inputs(args, parser):
@@ -294,11 +307,14 @@ def _make_distribution(args, parser) -> ErrorVarianceDistribution:
 
 
 def _cmd_sensitivity(args, parser) -> int:
+    if args.ci == "on" and not args.n_boot:
+        parser.error(f"sensitivity: --ci on needs --n-boot of at least {MIN_BOOT}")
     dist = _make_distribution(args, parser)
     spec = AnalysisSpec(args.outcome, (args.exposure,), args.covariates)
     data = load_csv(args.input, spec)
     cfg = _simex_config(args)
-    ci = None if args.ci == "auto" else args.ci == "on"
+    # auto is the method's default, except that --n-boot 0 turns intervals off
+    ci = None if args.ci == "auto" and args.n_boot else args.ci == "on"
     result = run_sensitivity(
         data, spec, dist, args.method,
         m=args.draws, ci=ci, n_boot=args.n_boot, level=args.level,
@@ -375,7 +391,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     command, stage = _COMMANDS[args.subcommand]
     try:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 from scipy.linalg import lapack
 
 from .errors import InsufficientDataError, SingularDesignError
@@ -185,8 +184,12 @@ def wald_interval(fit: FitResult, index: int = 1, level: float = 0.95):
 
     The quantile is ``stdtrit``, the inverse Student t distribution function
     that ``scipy.stats.t.ppf`` evaluates, called without its argument handling.
-    A stacked fit gives arrays of endpoints, one per design.
+    A stacked fit gives arrays of endpoints, one per design.  ``scipy.special``
+    is imported here, on the first interval, so ``import mecalib`` does not
+    load it.
     """
+    from scipy import special
+
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     half = special.stdtrit(fit.n - fit.p, 0.5 + level / 2.0) * fit.standard_errors[..., index]

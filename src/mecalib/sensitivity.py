@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .correct import (ErrorVariance, SimexConfig, bootstrap_ci, correction_steps,
+from .correct import (MIN_BOOT, ErrorVariance, SimexConfig, bootstrap_ci, correction_steps,
                       prepare_correction, rc_estimates, simex_estimates)
 from .data import AnalysisSpec, Dataset
 from .errors import InfeasibleCorrectionError
@@ -190,7 +190,8 @@ def run_sensitivity(
 
     ``ci=None`` applies the method default: bootstrap intervals on for
     regression calibration (cheap) and off for SIMEX, where each interval
-    costs n_boot full simulation-extrapolation runs.  Infeasible calibration
+    costs n_boot full simulation-extrapolation runs; with intervals on,
+    ``n_boot`` below ``MIN_BOOT`` raises before any draw.  Infeasible calibration
     draws (tau2 beyond the observed conditional exposure variance) are
     recorded with ``status="infeasible"`` and excluded from the summary; if
     every draw is infeasible the analysis raises instead of returning an
@@ -208,6 +209,8 @@ def run_sensitivity(
         raise ValueError(f"ci must be True, False or None, got {ci!r}")
     correction_steps(method)  # rejects an unknown method
     ci = method == "rc" if ci is None else ci
+    if ci and n_boot < MIN_BOOT:  # before any draw is corrected
+        raise ValueError(f"n_boot must be at least {MIN_BOOT}, got {n_boot}")
     simex_config = simex_config or SimexConfig()
 
     tau2_draws = sample_tau2(dist, m, seed)

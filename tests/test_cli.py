@@ -352,3 +352,146 @@ def test_simulate_all_runs_all_22_scenarios(tmp_path, full):
     assert len(payload) == 22
     assert max(entry["scenario"]["n"] for entry in payload) == 10000
     assert "/22] scenario=n_10000 " in out.getvalue()
+
+
+def sensitivity_argv(csv_path, out, *extra):
+    return ["sensitivity", "--input", str(csv_path), "--outcome", "creatinine",
+            "--exposure", "bp_star_1", "--method", "rc", "--tau2-dist", "uniform",
+            "--tau2-min", "10", "--tau2-max", "20", "--draws", "20", "--seed", "3",
+            "--output", str(out), *extra]
+
+
+def test_sensitivity_n_boot_0_turns_auto_intervals_off(study_csv, tmp_path, capsys):
+    auto, off = tmp_path / "auto.csv", tmp_path / "off.csv"
+    code, _, err = run_main(sensitivity_argv(study_csv, auto, "--n-boot", "0"), capsys)
+    assert code == 0, err
+    assert run_main(sensitivity_argv(study_csv, off, "--ci", "off"), capsys)[0] == 0
+    rows = auto.read_text().splitlines()[1:]
+    assert len(rows) == 20 and all(row.split(",")[2:4] == ["", ""] for row in rows)
+    assert auto.read_bytes() == off.read_bytes()
+
+
+def test_sensitivity_ci_on_with_n_boot_0_is_usage_error(tmp_path, capsys):
+    # the input does not exist: the usage error comes before the CSV is read
+    argv = sensitivity_argv(tmp_path / "ghost.csv", tmp_path / "s.csv", "--ci", "on",
+                            "--n-boot", "0")
+    code, _, err = run_main(argv, capsys)
+    assert code == 2
+    assert "--ci on needs --n-boot of at least 50" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+# --------------------------------------------------------------------------
+# one parser per process
+# --------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_parser():
+    """``cli.main``'s cached parser dropped before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_import_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import mecalib, mecalib.cli as cli; "
+         "print(cli._parser.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_main_builds_its_parser_once(study_csv, monkeypatch, capsys, fresh_parser):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    data = ["--input", str(study_csv), "--outcome", "creatinine", "--exposure", "bp_star_1"]
+    for _ in range(5):
+        assert run_main(["fit", *data], capsys)[0] == 0
+        assert run_main(["fit", *data, "--bogus"], capsys)[0] == 2
+    assert len(builds) == 1
+    assert build_parser() is not build_parser()  # the public builder stays fresh per call
+
+
+def test_options_of_one_call_do_not_reach_the_next(study_csv, tmp_path, capsys, fresh_parser):
+    data = ["--input", str(study_csv), "--outcome", "creatinine", "--exposure", "bp_star_1"]
+    out = tmp_path / "coefs.csv"
+    code, first, _ = run_main(["fit", *data, "--covariates", "age", "--output", str(out)], capsys)
+    assert code == 0 and "age" in first and "wrote" in first
+    out.unlink()
+    code, second, _ = run_main(["fit", *data], capsys)
+    assert code == 0 and "age" not in second and "wrote" not in second
+    assert not any(tmp_path.iterdir())
+
+    result = tmp_path / "rc.json"
+    correct = ["correct", *data, "--method", "rc", "--tau2", "15"]
+    assert run_main([*correct, "--n-boot", "60", "--output", str(result)], capsys)[0] == 0
+    assert json.loads(result.read_text())["level"] == 0.95
+    result.unlink()
+    code, out_text, _ = run_main(correct, capsys)
+    assert code == 0 and "wrote" not in out_text
+    assert out_text.splitlines()[3].split()[2:] == ["-", "-"]  # rc row: no interval
+    assert not any(tmp_path.iterdir())
+
+
+def test_usage_error_leaves_later_calls_unchanged(study_csv, tmp_path, capsys, fresh_parser):
+    data = ["--input", str(study_csv), "--outcome", "creatinine", "--exposure", "bp_star_1"]
+    fit = ["fit", *data, "--covariates", "age"]
+    code, expected, _ = run_main(fit, capsys)
+    assert code == 0
+    bad_calls = [
+        ["fit"],
+        ["fit", *data, "--bogus"],
+        ["correct", *data, "--method", "rc"],  # rejected by the handler: no tau2 source
+        sensitivity_argv(study_csv, tmp_path / "s.csv", "--ci", "on", "--n-boot", "0"),
+    ]
+    for argv in bad_calls:
+        assert run_main(argv, capsys)[0] == 2, argv
+        assert run_main(fit, capsys) == (0, expected, "")
+    assert not any(tmp_path.iterdir())
+
+
+def test_one_process_writes_what_fresh_processes_write(study_csv, tmp_path, capsys,
+                                                       fresh_parser):
+    def commands(out):
+        data = ("--input", str(study_csv), "--outcome", "creatinine", "--exposure", "bp_star_1")
+        return [
+            ("fit", *data, "--covariates", "age", "--output", str(out / "fit.csv")),
+            ("correct", *data, "--method", "rc", "--tau2", "15", "--n-boot", "60",
+             "--output", str(out / "rc.json")),
+            ("correct", "--input", str(study_csv), "--outcome", "creatinine", "--method",
+             "simex", "--replicates", "bp_star_1,bp_star_2", "--n-sim", "10",
+             "--output", str(out / "simex.json")),
+            tuple(sensitivity_argv(study_csv, out / "sens.csv", "--n-boot", "50")),
+            tuple(sensitivity_argv(study_csv, out / "sens0.csv", "--n-boot", "0")),
+        ]
+
+    one, fresh = tmp_path / "one", tmp_path / "fresh"
+    one.mkdir()
+    fresh.mkdir()
+    for in_process, command in zip(commands(one), commands(fresh)):
+        code, out_text, err = run_main(list(in_process), capsys)
+        assert code == 0, err
+        proc = run_cli(*command)
+        assert proc.returncode == 0, proc.stderr
+        assert out_text.replace(str(one), "OUT") == proc.stdout.replace(str(fresh), "OUT")
+    names = sorted(path.name for path in one.iterdir())
+    assert names == sorted(path.name for path in fresh.iterdir()) and len(names) == 7
+    for name in names:
+        assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_help_is_the_same_on_every_call(monkeypatch, capsys, fresh_parser):
+    monkeypatch.setenv("COLUMNS", "100")
+    for argv in (["--help"], ["sensitivity", "--help"]):
+        first = run_main(argv, capsys)
+        assert first[0] == 0 and "--help" in first[1]
+        assert run_main(argv, capsys) == first
+    assert run_main(["--help"], capsys)[1] == cli.build_parser().format_help()

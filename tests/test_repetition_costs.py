@@ -2,7 +2,7 @@
 
 The SIMEX lambda pass is checked against the per-lambda loop it replaced,
 ``extrapolate`` against a fresh least-squares fit, and the import graph for
-the absence of ``scipy.stats``.
+the absence of ``scipy.stats`` and ``scipy.special``.
 """
 
 import math
@@ -100,9 +100,10 @@ def test_extrapolate_matches_lstsq_on_alternating_grids():
 
 
 def test_import_leaves_scipy_stats_out():
-    proc = run_python("-c", "import sys, mecalib.cli; print('scipy.stats' in sys.modules)")
+    proc = run_python("-c", "import sys, mecalib.cli; "
+                      "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_generate_dataset_keeps_its_array(monkeypatch):

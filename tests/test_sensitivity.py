@@ -337,6 +337,9 @@ def test_degenerate_prior_reproduces_single_corrector_call():
     (dict(ci="no"), "ci must be True, False or None"),
     (dict(ci=1), "ci must be True, False or None"),
     (dict(method="naive"), "corrector must be one of"),
+    (dict(ci=True, n_boot=0), "n_boot must be at least 50, got 0"),
+    (dict(n_boot=49), "n_boot must be at least 50, got 49"),  # rc intervals on by default
+    (dict(method="simex", ci=True, n_boot=0), "n_boot must be at least 50, got 0"),
 ])
 def test_bad_arguments_raise_before_any_correction(kwargs, message, monkeypatch):
     data, spec = base_scenario_dataset(n=50)
@@ -348,6 +351,16 @@ def test_bad_arguments_raise_before_any_correction(kwargs, message, monkeypatch)
     arguments = {"method": "rc", "m": 5, **kwargs}
     with pytest.raises(ValueError, match=message):
         run_sensitivity(data, spec, ErrorVarianceDistribution("uniform", 1.0, 2.0), **arguments)
+
+
+def test_n_boot_is_not_checked_without_intervals():
+    data, spec = base_scenario_dataset(n=50)
+    dist = ErrorVarianceDistribution("uniform", 1.0, 2.0)
+    result = run_sensitivity(data, spec, dist, "rc", m=3, ci=False, n_boot=0, seed=2)
+    assert all(draw.ci_lower is None and draw.ci_upper is None for draw in result.draws)
+    result = run_sensitivity(data, spec, dist, "simex", m=2, n_boot=0, seed=2,
+                             simex_config=SimexConfig(n_sim=5))  # simex: intervals off
+    assert result.summary["n_ok"] == 2
 
 
 def test_all_infeasible_raises():
