@@ -24,6 +24,7 @@ from .correct import (
     ErrorVariance,
     SimexConfig,
     bootstrap_ci,
+    check_bootstrap,
     correction_steps,
     estimate_tau2_from_replicates,
     fit_uncorrected,
@@ -307,8 +308,11 @@ def _make_distribution(args, parser) -> ErrorVarianceDistribution:
 
 
 def _cmd_sensitivity(args, parser) -> int:
-    if args.ci == "on" and not args.n_boot:
-        parser.error(f"sensitivity: --ci on needs --n-boot of at least {MIN_BOOT}")
+    if args.ci == "on":
+        try:
+            check_bootstrap(args.n_boot, args.level)
+        except ValueError as exc:
+            parser.error(f"sensitivity --ci on: {exc}")
     dist = _make_distribution(args, parser)
     spec = AnalysisSpec(args.outcome, (args.exposure,), args.covariates)
     data = load_csv(args.input, spec)

@@ -452,6 +452,14 @@ def _bootstrap_replicate(
         return None
 
 
+def check_bootstrap(n_boot: int, level: float) -> None:
+    """Raise ``ValueError`` unless ``n_boot >= MIN_BOOT`` and ``0 < level < 1``."""
+    if n_boot < MIN_BOOT:
+        raise ValueError(f"n_boot must be at least {MIN_BOOT}, got {n_boot}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+
+
 def bootstrap_ci(
     data: Dataset,
     spec: AnalysisSpec,
@@ -477,10 +485,7 @@ def bootstrap_ci(
     singular resample) are dropped; if more than 10% fail the interval is
     abandoned with a :class:`BootstrapError`.
     """
-    if n_boot < MIN_BOOT:
-        raise ValueError(f"n_boot must be at least {MIN_BOOT}, got {n_boot}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    check_bootstrap(n_boot, level)
     correct, _ = correction_steps(corrector)
     # SIMEX is the one randomized corrector; RC ignores cfg, so its replicates
     # get None and skip the per-replicate reseed.

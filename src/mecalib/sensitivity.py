@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .correct import (MIN_BOOT, ErrorVariance, SimexConfig, bootstrap_ci, correction_steps,
+from .correct import (ErrorVariance, SimexConfig, bootstrap_ci, check_bootstrap, correction_steps,
                       prepare_correction, rc_estimates, simex_estimates)
 from .data import AnalysisSpec, Dataset
 from .errors import InfeasibleCorrectionError
@@ -190,8 +190,9 @@ def run_sensitivity(
 
     ``ci=None`` applies the method default: bootstrap intervals on for
     regression calibration (cheap) and off for SIMEX, where each interval
-    costs n_boot full simulation-extrapolation runs; with intervals on,
-    ``n_boot`` below ``MIN_BOOT`` raises before any draw.  Infeasible calibration
+    costs n_boot full simulation-extrapolation runs; with intervals on, an
+    ``n_boot`` or ``level`` that ``bootstrap_ci`` would refuse raises before
+    any draw.  Infeasible calibration
     draws (tau2 beyond the observed conditional exposure variance) are
     recorded with ``status="infeasible"`` and excluded from the summary; if
     every draw is infeasible the analysis raises instead of returning an
@@ -209,8 +210,8 @@ def run_sensitivity(
         raise ValueError(f"ci must be True, False or None, got {ci!r}")
     correction_steps(method)  # rejects an unknown method
     ci = method == "rc" if ci is None else ci
-    if ci and n_boot < MIN_BOOT:  # before any draw is corrected
-        raise ValueError(f"n_boot must be at least {MIN_BOOT}, got {n_boot}")
+    if ci:
+        check_bootstrap(n_boot, level)  # before any draw is corrected
     simex_config = simex_config or SimexConfig()
 
     tau2_draws = sample_tau2(dist, m, seed)

@@ -377,7 +377,7 @@ def test_sensitivity_ci_on_with_n_boot_0_is_usage_error(tmp_path, capsys):
                             "--n-boot", "0")
     code, _, err = run_main(argv, capsys)
     assert code == 2
-    assert "--ci on needs --n-boot of at least 50" in err and "Traceback" not in err
+    assert "--ci on: n_boot must be at least 50, got 0" in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
 
 

@@ -340,6 +340,7 @@ def test_degenerate_prior_reproduces_single_corrector_call():
     (dict(ci=True, n_boot=0), "n_boot must be at least 50, got 0"),
     (dict(n_boot=49), "n_boot must be at least 50, got 49"),  # rc intervals on by default
     (dict(method="simex", ci=True, n_boot=0), "n_boot must be at least 50, got 0"),
+    (dict(ci=True, level=1.5), r"level must be in \(0, 1\), got 1.5"),
 ])
 def test_bad_arguments_raise_before_any_correction(kwargs, message, monkeypatch):
     data, spec = base_scenario_dataset(n=50)
