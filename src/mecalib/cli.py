@@ -178,6 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_flags(p_sim, n_boot_default=0)
     p_sim.add_argument("--out-dir", default="study_report",
                        help="directory for the report CSVs and summaries.json")
+    for p in (p_fit, p_cor, p_sen, p_sim):  # a handler's usage errors print its usage line
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -194,16 +196,16 @@ def _parser() -> argparse.ArgumentParser:
 def _analysis_inputs(args, parser):
     """Load the dataset and resolve the tau2 source for the correct subcommand."""
     if (args.tau2 is None) == (args.replicates is None):
-        parser.error("correct: exactly one of --tau2 or --replicates is required")
+        parser.error("exactly one of --tau2 or --replicates is required")
     if args.replicates:
         if len(args.replicates) < 2:
-            parser.error("correct: --replicates needs at least two columns")
+            parser.error("--replicates needs at least two columns")
         exposure_replicates = args.replicates
         if args.exposure and args.exposure != exposure_replicates[0]:
-            parser.error("correct: --exposure must equal the first replicate column")
+            parser.error("--exposure must equal the first replicate column")
     else:
         if not args.exposure:
-            parser.error("correct: --exposure is required with --tau2")
+            parser.error("--exposure is required with --tau2")
         exposure_replicates = (args.exposure,)
     spec = AnalysisSpec(
         outcome=args.outcome,
@@ -293,9 +295,9 @@ def _cmd_correct(args, parser) -> int:
 def _make_distribution(args, parser) -> ErrorVarianceDistribution:
     kind = args.tau2_dist
     if kind == "triangular" and args.tau2_mode is None:
-        parser.error("sensitivity: --tau2-mode is required for a triangular prior")
+        parser.error("--tau2-mode is required for a triangular prior")
     if kind == "trapezoidal" and (args.tau2_lower_mode is None or args.tau2_upper_mode is None):
-        parser.error("sensitivity: --tau2-lower-mode and --tau2-upper-mode are "
+        parser.error("--tau2-lower-mode and --tau2-upper-mode are "
                      "required for a trapezoidal prior")
     return ErrorVarianceDistribution(
         kind=kind,
@@ -312,7 +314,7 @@ def _cmd_sensitivity(args, parser) -> int:
         try:
             check_bootstrap(args.n_boot, args.level)
         except ValueError as exc:
-            parser.error(f"sensitivity --ci on: {exc}")
+            parser.error(f"--ci on: {exc}")
     dist = _make_distribution(args, parser)
     spec = AnalysisSpec(args.outcome, (args.exposure,), args.covariates)
     data = load_csv(args.input, spec)
@@ -346,7 +348,7 @@ def _select_scenarios(args, parser):
             matches = [cfg for cfg in grid if cfg.name == args.scenario]
             if not matches:
                 names = ", ".join(cfg.name for cfg in grid)
-                parser.error(f"simulate: unknown scenario {args.scenario!r}; "
+                parser.error(f"unknown scenario {args.scenario!r}; "
                              f"choose from: {names}")
             scenarios = matches
     if args.reps is not None:
@@ -356,10 +358,10 @@ def _select_scenarios(args, parser):
 
 def _cmd_simulate(args, parser) -> int:
     if not args.methods:
-        parser.error("simulate: --methods must name at least one method")
+        parser.error("--methods must name at least one method")
     for method in args.methods:
         if method not in METHODS:
-            parser.error(f"simulate: unknown method {method!r}")
+            parser.error(f"unknown method {method!r}")
     scenarios = _select_scenarios(args, parser)
     summaries = []
     for i, cfg in enumerate(scenarios, start=1):
@@ -399,7 +401,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command, stage = _COMMANDS[args.subcommand]
     try:
-        return command(args, parser)
+        return command(args, args.subparser)
     except (MecalibError, ValueError, OSError) as exc:
         print(f"mecalib: error during {stage}: {exc}", file=sys.stderr)
         return 1

@@ -65,7 +65,7 @@ class ErrorVariance:
     def __post_init__(self):
         if self.source not in ("replicates", "external"):
             raise ValueError(f"unknown error variance source {self.source!r}")
-        if not np.isfinite(self.tau2) or self.tau2 < 0.0:
+        if not math.isfinite(self.tau2) or self.tau2 < 0.0:
             raise ValueError(f"tau2 must be a finite nonnegative number, got {self.tau2}")
 
 

@@ -7,6 +7,9 @@ Q'y and the residual norm.  The singular values of R with each column scaled
 to unit norm, those of X so scaled, are checked against a relative
 tolerance, so near-collinear designs degrade into an explicit rank error
 rather than silently unstable coefficients, whatever units the columns are in.
+The inverse of R that the coefficients and standard errors need also bounds
+that ratio from below; only a design the bound cannot clear gets the SVD.
+Everything runs on NumPy's own LAPACK, so no SciPy module is loaded.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from numpy.linalg import lapack_lite
 
 from .errors import InsufficientDataError, SingularDesignError
 
@@ -56,13 +59,6 @@ class FitResult:
             raise ValueError("coefficients and standard_errors must align")
 
 
-def _lapack(routine, *args, **kwargs) -> list:  # outputs without the info code
-    *outputs, info = routine(*args, **kwargs)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} failed with info={info}")
-    return outputs
-
-
 def _finite(*values) -> bool:
     """Whether every entry of the scalars and small arrays is finite."""
     for value in values:
@@ -74,6 +70,25 @@ def _finite(*values) -> bool:
     return True
 
 
+def _check_rank(r: np.ndarray, norms: np.ndarray, designs) -> None:
+    """Raise ``SingularDesignError`` for the first of ``designs`` whose unit-norm columns fail.
+
+    The exact rank test: the singular values of R with its columns scaled to
+    unit norm (those of X so scaled), smallest against largest.  ``designs``
+    holds indices into the stack ``r``, in stack order.
+    """
+    for d in designs:
+        ratio = 0.0  # a zero column
+        if 0.0 not in norms[d].tolist():  # p is small
+            s = np.linalg.svd(r[d] / norms[d], compute_uv=False)
+            ratio = s[-1] / s[0]
+        if not ratio >= RANK_TOLERANCE:
+            raise SingularDesignError(
+                f"design matrix is rank deficient (singular value ratio of the "
+                f"unit-norm columns {ratio:.3e} < {RANK_TOLERANCE:g})"
+            )
+
+
 def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     """Least-squares fit of ``y`` on the columns of ``X``, or of each of a stack of designs.
 
@@ -82,8 +97,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     X : (n, p) design matrix, full column rank, n > p, or a stack (..., n, p).
     y : (n,) response vector, or a stack (..., n) with the same leading shape.
 
-    A stack runs the same LAPACK factorisations design by design and then
-    everything else once, elementwise over the stack.  Its ``FitResult`` holds
+    A stack runs the same QR design by design and then everything else once,
+    elementwise or matrix by matrix over the stack.  Its ``FitResult`` holds
     arrays: coefficients and standard errors of shape (..., p), residual
     variance and R^2 of shape (...).  Each design's numbers are those of a fit
     on that design alone, bit for bit, whatever the stack holds besides.
@@ -110,16 +125,19 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     if n <= p:
         raise InsufficientDataError(f"n={n} rows cannot identify p={p} parameters")
 
-    # Each design's [X | y] is Fortran-ordered, so dgeqrf factors it in place.
-    augmented = np.empty((*batch, p + 1, n)).swapaxes(-1, -2)
+    # Each design's [X | y] is a C-ordered (p + 1, n) block, LAPACK's column-major
+    # (n, p + 1) matrix, so dgeqrf factors it in place.  The minimal workspace
+    # keeps the unblocked Householder QR whatever p is.
+    block = np.empty((*batch, p + 1, n))
+    augmented = block.swapaxes(-1, -2)
     augmented[..., :p] = X
     augmented[..., p] = y
+    tau, work = np.empty(p + 1), np.empty(p + 1)
     designs = list(itertools.product(*map(range, batch)))  # [()] for one design
     for d in designs:
-        design = augmented[d]
-        qr, _, _ = _lapack(lapack.dgeqrf, design, overwrite_a=1)
-        if qr is not design:  # f2py factored a copy after all
-            design[...] = qr
+        info = lapack_lite.dgeqrf(n, p + 1, block[d], n, tau, work, p + 1, 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"LAPACK dgeqrf failed with info={info}")
     # Top block: R | Q'y above the residual norm, reflectors below the diagonal.
     top = augmented[..., : p + 1, :]
     if not _finite(top):  # NaN and inf reach R, Q'y or the norm
@@ -130,22 +148,16 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
         top[..., j + 1 :, j] = 0.0
     r = top[..., :p, :p]
     norms = np.hypot.reduce(r, axis=-2)  # those of X's columns; hypot cannot overflow
-    r_inv = np.empty((*batch, p, p))
-    for d in designs:
-        ratio = 0.0  # a zero column
-        if 0.0 not in norms[d].tolist():  # p is small
-            _, s, _ = _lapack(lapack.dgesdd, r[d] / norms[d], compute_uv=0)
-            ratio = s[-1] / s[0]
-        if not ratio >= RANK_TOLERANCE:
-            raise SingularDesignError(
-                f"design matrix is rank deficient (singular value ratio of the "
-                f"unit-norm columns {ratio:.3e} < {RANK_TOLERANCE:g})"
-            )
-        (r_inv[d],) = _lapack(lapack.dtrtri, r[d])
+    try:
+        r_inv = np.linalg.inv(r)
+    except np.linalg.LinAlgError:  # an exact zero pivot: the exact test raises for it
+        _check_rank(r, norms, designs)
+        raise
     residual_norm = top[..., p, p]  # per design: a scalar for one design
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
         # sqrt(diag((X'X)^-1)) = sqrt(diag(R^-1 R^-T)): the row norms of R^-1.
         inverse_row_norms = np.hypot.reduce(r_inv, axis=-1)
+        inverse_norm = np.hypot.reduce(norms * inverse_row_norms, axis=-1)  # ||D R^-1||_F
         rss = residual_norm * residual_norm
         residual_variance = rss / (n - p)
         coef = (r_inv @ top[..., :p, p:])[..., 0]
@@ -160,23 +172,30 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
         constant = tss <= cut
         if True in constant.ravel().tolist():
             r_squared = np.where(constant, rss <= cut, r_squared)[()]
+    # Rank certificate (Golub & Van Loan, 2.3): the unit-norm columns A = R D^-1,
+    # D = diag(norms), have sigma_max <= ||A||_F = sqrt(p) and sigma_min >=
+    # 1 / ||A^-1||_F = 1 / ||D R^-1||_F.  A ratio bound of twice the tolerance
+    # leaves room for rounding; any other design, NaN bound included, gets the
+    # exact test.
+    certified = (inverse_norm <= 0.5 / (math.sqrt(p) * RANK_TOLERANCE)).ravel().tolist()
+    if False in certified:
+        _check_rank(r, norms, [d for d, ok in zip(designs, certified) if not ok])
     if not _finite(rss, tss, coef, standard_errors):
         if not _finite(rss, tss):
             raise ValueError("sum of squares of y overflows float64; rescale y")
         raise ValueError("a coefficient or standard error overflows float64; rescale X or y")
-    coef.setflags(write=False)  # fresh arrays: FitResult keeps them without a copy
+    coef.setflags(write=False)
     standard_errors.setflags(write=False)
     if not batch:
         residual_variance, r_squared = float(residual_variance), float(r_squared)
 
-    return FitResult(
-        coefficients=coef,
-        standard_errors=standard_errors,
-        residual_variance=residual_variance,
-        r_squared=r_squared,
-        n=n,
-        p=p,
-    )
+    # Fresh, aligned, read-only float64 arrays: nothing for __post_init__ to check.
+    fit = object.__new__(FitResult)
+    for name, value in (("coefficients", coef), ("standard_errors", standard_errors),
+                        ("residual_variance", residual_variance), ("r_squared", r_squared),
+                        ("n", n), ("p", p)):
+        object.__setattr__(fit, name, value)
+    return fit
 
 
 def wald_interval(fit: FitResult, index: int = 1, level: float = 0.95):

@@ -172,6 +172,26 @@ def test_simulate_without_methods_is_usage_error(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_handler_usage_errors_print_the_subcommand_usage(study_csv, tmp_path, capsys):
+    # errors the handlers raise after parsing read like argparse's own
+    data = ["--input", str(study_csv), "--outcome", "creatinine", "--exposure", "bp_star_1"]
+    cases = [
+        (["correct", *data, "--method", "rc"], "correct",
+         "exactly one of --tau2 or --replicates is required"),
+        (["sensitivity", *data, "--method", "rc", "--tau2-dist", "triangular",
+          "--tau2-min", "1", "--tau2-max", "5", "--output", str(tmp_path / "s.csv")],
+         "sensitivity", "--tau2-mode is required for a triangular prior"),
+        (["simulate", "--scenario", "bogus", "--out-dir", str(tmp_path / "o")], "simulate",
+         "unknown scenario 'bogus'"),
+    ]
+    for argv, name, message in cases:
+        code, _, err = run_main(argv, capsys)
+        assert code == 2, name
+        assert err.startswith(f"usage: mecalib {name} [-h]"), err
+        assert f"\nmecalib {name}: error: {message}" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_tables_follow_redirected_stdout(study_csv):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):

@@ -239,22 +239,80 @@ def unit_column_factor(singular_values, rng):
     return m
 
 
-@pytest.mark.parametrize("ratio", [1e-9, 2e-10, 1.01e-10, 0.99e-10, 5e-11, 1e-12])
+def design_with_ratio(ratio, n, p, rng):
+    """An (n, p) design whose unit-norm columns have singular value ratio ``ratio``.
+
+    The raw columns carry scales up to 1e8 apart.
+    """
+    u, _ = np.linalg.qr(rng.normal(size=(n, p)))
+    unit = u @ unit_column_factor(np.geomspace(1.0, ratio, p), rng)
+    scaled_s = np.linalg.svd(unit, compute_uv=False)
+    assert scaled_s[-1] / scaled_s[0] == pytest.approx(ratio, rel=1e-3)
+    return unit * 10.0 ** rng.uniform(-4, 4, p)
+
+
+# 1e-6 and 1e-8 are cleared by the certificate; from about 2 p RANK_TOLERANCE
+# down the exact test decides
+@pytest.mark.parametrize(
+    "ratio", [1e-6, 1e-8, 1e-9, 3e-10, 2e-10, 1.01e-10, 0.99e-10, 5e-11, 1e-12])
 def test_rank_decision_matches_svd_oracle(ratio):
-    # the unit-norm columns have singular value ratio `ratio`; the raw columns
-    # carry scales up to 1e8 apart, which must not change the decision
+    # the column scales must not change the decision
     rng = np.random.default_rng(int(-np.log10(ratio) * 100))
     for n in (6, 50, 2_000):
         for p in (2, 3, 4):
-            u, _ = np.linalg.qr(rng.normal(size=(n, p)))
-            unit = u @ unit_column_factor(np.geomspace(1.0, ratio, p), rng)
-            scaled_s = np.linalg.svd(unit, compute_uv=False)
-            assert scaled_s[-1] / scaled_s[0] == pytest.approx(ratio, rel=1e-3)
-            X = unit * 10.0 ** rng.uniform(-4, 4, p)
+            X = design_with_ratio(ratio, n, p, rng)
             y = rng.normal(size=n)
             expected = ratio < RANK_TOLERANCE
             assert raises_singular(svd_ols_fit, X, y) == expected
             assert raises_singular(ols_fit, X, y) == expected
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The matrices handed to ``np.linalg.svd`` while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_svd_runs_only_where_the_certificate_cannot_decide(svd_calls):
+    rng = np.random.default_rng(17)
+    X, y = stack_of_designs(rng, (7,), 200, 3)
+    # ill-conditioned but certified; and in the band: the ratio 1.5e-10 passes,
+    # but the bound, at most the ratio, is below twice the tolerance
+    certified = [design_with_ratio(ratio, 200, 3, rng) for ratio in (1e-6, 1e-8)]
+    band = design_with_ratio(1.5e-10, 200, 3, rng)
+    svd_calls.clear()  # those of design_with_ratio
+    ols_fit(X, y)
+    ols_fit(X[0], y[0])
+    for design in certified:
+        ols_fit(design, y[0])
+    assert len(svd_calls) == 0
+
+    ols_fit(band, y[0])  # in a stack, below, only this design gets the SVD
+    assert len(svd_calls) == 1
+    X[4] = band
+    stacked = ols_fit(X, y)
+    assert len(svd_calls) == 2
+    assert np.array_equal(stacked.coefficients[4], ols_fit(band, y[4]).coefficients)
+    assert len(svd_calls) == 3
+
+    collinear = X[1].copy()
+    collinear[:, 2] = 2.0 * collinear[:, 1]
+    with pytest.raises(SingularDesignError, match="rank deficient"):
+        ols_fit(collinear, y[1])
+    assert len(svd_calls) == 4
+    # a zero column fails with ratio 0 before any SVD
+    collinear[:, 2] = 0.0
+    with pytest.raises(SingularDesignError, match="0.000e\\+00"):
+        ols_fit(collinear, y[1])
+    assert len(svd_calls) == 4
 
 
 def column_norms(X):

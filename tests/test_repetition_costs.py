@@ -2,7 +2,8 @@
 
 The SIMEX lambda pass is checked against the per-lambda loop it replaced,
 ``extrapolate`` against a fresh least-squares fit, and the import graph for
-the absence of ``scipy.stats`` and ``scipy.special``.
+the absence of any ``scipy`` module from ``import mecalib`` and from the
+fit, correct and sensitivity commands.
 """
 
 import math
@@ -99,11 +100,39 @@ def test_extrapolate_matches_lstsq_on_alternating_grids():
                 assert coefficients.shape == (degree + 1,)
 
 
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 def test_import_leaves_scipy_stats_out():
     proc = run_python("-c", "import sys, mecalib.cli; "
-                      "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+                      "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules, "
+                      f"{SCIPY_MODULES})")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "False False []"
+
+
+def test_fit_correct_and_sensitivity_processes_load_no_scipy(tmp_path):
+    data, _ = base_scenario_dataset(n=150)
+    path = tmp_path / "d.csv"
+    write_csv_rows(path, data.column_names, data.values)
+    common = ["--input", str(path), "--outcome", "creatinine", "--exposure", "bp_star_1"]
+    sensitivity = ["sensitivity", *common, "--tau2-dist", "uniform", "--tau2-min", "5",
+                   "--tau2-max", "10", "--draws", "5"]
+    commands = [
+        ["fit", *common],
+        ["correct", *common, "--method", "rc", "--tau2", "15", "--n-boot", "50"],
+        ["correct", *common, "--method", "simex", "--tau2", "15", "--n-sim", "10",
+         "--n-boot", "50"],
+        [*sensitivity, "--method", "rc", "--n-boot", "50", "--output", str(tmp_path / "rc.csv")],
+        [*sensitivity, "--method", "simex", "--n-sim", "10",
+         "--output", str(tmp_path / "simex.csv")],
+    ]
+    for argv in commands:
+        proc = run_python("-c", "import sys; from mecalib.cli import main; "
+                          f"code = main(sys.argv[1:]); print({SCIPY_MODULES}); sys.exit(code)",
+                          *argv)
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+        assert proc.stdout.splitlines()[-1] == "[]", argv
 
 
 def test_generate_dataset_keeps_its_array(monkeypatch):
