@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import replace
 
@@ -62,6 +63,20 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _tau2(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {value}")
     return value
 
 
@@ -121,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-boot", type=_n_boot, default=n_boot_default,
                        help="bootstrap replicates for percentile CIs (0 disables)")
         p.add_argument("--level", type=_level, default=0.95, help="confidence level, in (0, 1)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+        p.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED,
                        help="seed for all randomized steps")
         p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker processes for independent work units")
@@ -135,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="correct the exposure coefficient (rc or simex)")
     add_data_flags(p_cor, exposure_required=False)
     p_cor.add_argument("--method", choices=CORRECTION_METHODS, required=True)
-    p_cor.add_argument("--tau2", type=float,
+    p_cor.add_argument("--tau2", type=_tau2,
                        help="known measurement error variance (external source)")
     p_cor.add_argument("--replicates", type=_comma_list,
                        help="comma-separated replicate columns; estimates tau2 and "
@@ -220,8 +235,12 @@ def _analysis_inputs(args, parser):
     return data, spec, tau2
 
 
-def _simex_config(args) -> SimexConfig:
-    return SimexConfig(args.lambda_grid, args.n_sim, args.extrapolant, args.seed)
+def _simex_config(args, parser) -> SimexConfig:
+    """The SIMEX settings; an invalid grid is a usage error, with --method rc too."""
+    try:
+        return SimexConfig(args.lambda_grid, args.n_sim, args.extrapolant, args.seed)
+    except ValueError as exc:
+        parser.error(f"--lambda-grid: {exc}")
 
 
 def _cmd_fit(args, parser) -> int:
@@ -244,8 +263,8 @@ def _cmd_fit(args, parser) -> int:
 
 
 def _cmd_correct(args, parser) -> int:
+    cfg = _simex_config(args, parser)
     data, spec, tau2 = _analysis_inputs(args, parser)
-    cfg = _simex_config(args)
     _, apply = correction_steps(args.method)
     prepared = prepare_correction(data, spec)  # its naive fit is reported as uncorrected
     result = apply(prepared, tau2, cfg)
@@ -299,14 +318,17 @@ def _make_distribution(args, parser) -> ErrorVarianceDistribution:
     if kind == "trapezoidal" and (args.tau2_lower_mode is None or args.tau2_upper_mode is None):
         parser.error("--tau2-lower-mode and --tau2-upper-mode are "
                      "required for a trapezoidal prior")
-    return ErrorVarianceDistribution(
-        kind=kind,
-        min=args.tau2_min,
-        max=args.tau2_max,
-        mode=args.tau2_mode if kind == "triangular" else None,
-        lower_mode=args.tau2_lower_mode if kind == "trapezoidal" else None,
-        upper_mode=args.tau2_upper_mode if kind == "trapezoidal" else None,
-    )
+    try:
+        return ErrorVarianceDistribution(
+            kind=kind,
+            min=args.tau2_min,
+            max=args.tau2_max,
+            mode=args.tau2_mode if kind == "triangular" else None,
+            lower_mode=args.tau2_lower_mode if kind == "trapezoidal" else None,
+            upper_mode=args.tau2_upper_mode if kind == "trapezoidal" else None,
+        )
+    except ValueError as exc:
+        parser.error(f"tau2 prior: {exc}")
 
 
 def _cmd_sensitivity(args, parser) -> int:
@@ -316,9 +338,9 @@ def _cmd_sensitivity(args, parser) -> int:
         except ValueError as exc:
             parser.error(f"--ci on: {exc}")
     dist = _make_distribution(args, parser)
+    cfg = _simex_config(args, parser)
     spec = AnalysisSpec(args.outcome, (args.exposure,), args.covariates)
     data = load_csv(args.input, spec)
-    cfg = _simex_config(args)
     # auto is the method's default, except that --n-boot 0 turns intervals off
     ci = None if args.ci == "auto" and args.n_boot else args.ci == "on"
     result = run_sensitivity(

@@ -7,8 +7,9 @@ Q'y and the residual norm.  The singular values of R with each column scaled
 to unit norm, those of X so scaled, are checked against a relative
 tolerance, so near-collinear designs degrade into an explicit rank error
 rather than silently unstable coefficients, whatever units the columns are in.
-The inverse of R that the coefficients and standard errors need also bounds
-that ratio from below; only a design the bound cannot clear gets the SVD.
+The inverse of R that the coefficients and standard errors need, one gufunc
+call over the whole stack, also bounds that ratio from below; only a design
+the bound cannot clear gets the SVD.
 Everything runs on NumPy's own LAPACK, so no SciPy module is loaded.
 """
 
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import lapack_lite
+from numpy.linalg import _umath_linalg, lapack_lite
 
 from .errors import InsufficientDataError, SingularDesignError
 
@@ -133,7 +134,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     augmented[..., :p] = X
     augmented[..., p] = y
     tau, work = np.empty(p + 1), np.empty(p + 1)
-    designs = list(itertools.product(*map(range, batch)))  # [()] for one design
+    designs = list(itertools.product(*map(range, batch))) if batch else [()]
     for d in designs:
         info = lapack_lite.dgeqrf(n, p + 1, block[d], n, tau, work, p + 1, 0)["info"]
         if info != 0:
@@ -144,17 +145,15 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
         if np.isfinite(X).all() and np.isfinite(y).all():
             raise ValueError("a column norm of [X | y] overflows float64; rescale X or y")
         raise ValueError("X and y must hold finite values only")
-    for j in range(p):
-        top[..., j + 1 :, j] = 0.0
     r = top[..., :p, :p]
+    for j in range(p - 1):  # the reflectors below R's diagonal; no later step reads row p's
+        r[..., j + 1 :, j] = 0.0
     norms = np.hypot.reduce(r, axis=-2)  # those of X's columns; hypot cannot overflow
-    try:
-        r_inv = np.linalg.inv(r)
-    except np.linalg.LinAlgError:  # an exact zero pivot: the exact test raises for it
-        _check_rank(r, norms, designs)
-        raise
     residual_norm = top[..., p, p]  # per design: a scalar for one design
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
+        # The gufunc behind np.linalg.inv, without that wrapper's per-call cost:
+        # an exact zero pivot gives its design a NaN inverse, not an exception.
+        r_inv = _umath_linalg.inv(r, signature="d->d")
         # sqrt(diag((X'X)^-1)) = sqrt(diag(R^-1 R^-T)): the row norms of R^-1.
         inverse_row_norms = np.hypot.reduce(r_inv, axis=-1)
         inverse_norm = np.hypot.reduce(norms * inverse_row_norms, axis=-1)  # ||D R^-1||_F
@@ -180,6 +179,10 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
     certified = (inverse_norm <= 0.5 / (math.sqrt(p) * RANK_TOLERANCE)).ravel().tolist()
     if False in certified:
         _check_rank(r, norms, [d for d, ok in zip(designs, certified) if not ok])
+        # A NaN inverse fails the certificate; should the exact test pass its
+        # zero pivot, raise what np.linalg.inv raises for it.
+        if 0.0 in np.diagonal(r, 0, -2, -1).ravel().tolist():
+            raise np.linalg.LinAlgError("Singular matrix")
     if not _finite(rss, tss, coef, standard_errors):
         if not _finite(rss, tss):
             raise ValueError("sum of squares of y overflows float64; rescale y")
@@ -191,10 +194,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> FitResult:
 
     # Fresh, aligned, read-only float64 arrays: nothing for __post_init__ to check.
     fit = object.__new__(FitResult)
-    for name, value in (("coefficients", coef), ("standard_errors", standard_errors),
-                        ("residual_variance", residual_variance), ("r_squared", r_squared),
-                        ("n", n), ("p", p)):
-        object.__setattr__(fit, name, value)
+    fit.__dict__.update(coefficients=coef, standard_errors=standard_errors,
+                        residual_variance=residual_variance, r_squared=r_squared, n=n, p=p)
     return fit
 
 

@@ -17,7 +17,6 @@ import math
 import operator
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -232,6 +231,17 @@ def require_reals(obj, *names: str) -> None:
 def draw_seed(rng: np.random.Generator) -> int:
     """Draw a fresh 63-bit seed for a nested randomized operation."""
     return int(rng.integers(0, 2**63))
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A ``concurrent.futures.ProcessPoolExecutor``, imported on the first pool.
+
+    That import loads ``multiprocessing``, which only a process pool needs, so
+    ``import mecalib`` leaves both out.
+    """
+    from concurrent.futures import ProcessPoolExecutor as Pool
+
+    return Pool(max_workers=max_workers)
 
 
 def parallel_map(fn, jobs, threads: int = 1) -> list:

@@ -202,14 +202,52 @@ def test_tables_follow_redirected_stdout(study_csv):
     assert header.split() == ["term", "coefficient", "std_error"]
 
 
-def test_non_finite_lambda_is_runtime_error(study_csv):
-    proc = run_cli(
-        "correct", "--input", str(study_csv), "--outcome", "creatinine",
-        "--exposure", "bp_star_1", "--method", "simex", "--tau2", "5",
-        "--lambda-grid", "0,0.5,nan",
-    )
-    assert proc.returncode == 1
-    assert "lambda_grid" in proc.stderr and "Traceback" not in proc.stderr
+# argument values the subcommand rejects; the input does not exist, so exit 2
+# shows that the check comes before the CSV is read
+GHOST = ("--input", "ghost.csv", "--outcome", "creatinine", "--exposure", "bp_star_1")
+CORRECT = ("correct", *GHOST, "--method", "rc", "--tau2", "5")
+SENSITIVITY = ("sensitivity", *GHOST, "--method", "rc", "--tau2-dist", "uniform",
+               "--output", "s.csv")
+BAD_ARGUMENT_VALUES = {
+    "tau2_negative": (("correct", *GHOST, "--method", "rc", "--tau2", "-1"),
+                      "argument --tau2: must be a finite nonnegative number, got -1.0"),
+    "tau2_nan": (("correct", *GHOST, "--method", "simex", "--tau2", "nan"),
+                 "argument --tau2: must be a finite nonnegative number, got nan"),
+    "tau2_inf": (("correct", *GHOST, "--method", "rc", "--tau2", "inf"),
+                 "argument --tau2: must be a finite nonnegative number, got inf"),
+    "seed_correct": ((*CORRECT, "--seed", "-1"), "argument --seed: must be nonnegative, got -1"),
+    "seed_sensitivity": ((*SENSITIVITY, "--tau2-min", "1", "--tau2-max", "5", "--seed", "-1"),
+                         "argument --seed: must be nonnegative, got -1"),
+    "seed_simulate": (("simulate", "--scenario", "base", "--reps", "2", "--out-dir", "o",
+                       "--seed", "-1"), "argument --seed: must be nonnegative, got -1"),
+    "lambda_nan": (("correct", *GHOST, "--method", "simex", "--tau2", "5",
+                    "--lambda-grid", "0,0.5,nan"),
+                   "--lambda-grid: lambda_grid must hold finite numbers, got (0.0, 0.5, nan)"),
+    "lambda_nan_rc": ((*CORRECT, "--lambda-grid", "0,nan"),  # rc checks the grid it ignores
+                      "--lambda-grid: lambda_grid must hold finite numbers, got (0.0, nan)"),
+    "lambda_repeated": ((*CORRECT, "--lambda-grid", "0,1,1"),
+                        "--lambda-grid: lambda_grid must be strictly increasing, "
+                        "got (0.0, 1.0, 1.0)"),
+    "lambda_no_zero": ((*SENSITIVITY, "--tau2-min", "1", "--tau2-max", "5",
+                        "--lambda-grid", "1,2"),
+                       "--lambda-grid: lambda_grid must start at 0, got (1.0, 2.0)"),
+    "prior_min": ((*SENSITIVITY, "--tau2-min", "-5", "--tau2-max", "5"),
+                  "tau2 prior: min must be nonnegative (variance units), got -5.0"),
+    "prior_max": ((*SENSITIVITY, "--tau2-min", "1", "--tau2-max", "inf"),
+                  "tau2 prior: distribution bounds must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENT_VALUES))
+def test_bad_argument_values_are_usage_errors_before_any_read(case, tmp_path, capsys,
+                                                              monkeypatch):
+    argv, message = BAD_ARGUMENT_VALUES[case]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(list(argv), capsys)
+    assert code == 2, err
+    assert err.startswith(f"usage: mecalib {argv[0]} [-h]"), err
+    assert err.endswith(f"\nmecalib {argv[0]}: error: {message}\n"), err
+    assert out == "" and not any(tmp_path.iterdir())
 
 
 def test_help_documents_defaults():

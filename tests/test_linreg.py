@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from mecalib import (
     InsufficientDataError,
@@ -437,3 +438,97 @@ def test_stacked_fit_raises_if_any_design_would():
         ols_fit(X, y)
     with pytest.raises(ValueError, match="y has shape"):
         ols_fit(X, y[:3])
+
+
+# --------------------------------------------------------------------------
+# R^-1 from the gufunc that np.linalg.inv wraps
+# --------------------------------------------------------------------------
+
+def test_inv_gufunc_is_np_linalg_inv_without_the_raise():
+    # ols_fit relies on both halves: the same bits as np.linalg.inv for an
+    # invertible R, and a NaN inverse, not an exception, for an exact zero pivot
+    rng = np.random.default_rng(23)
+    r = np.triu(rng.normal(size=(5, 4, 4)))
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(_umath_linalg.inv(r, signature="d->d"), np.linalg.inv(r))
+        singular = np.array([[1.0, 2.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inverse = _umath_linalg.inv(np.stack([singular, np.eye(2)]), signature="d->d")
+    assert not np.isfinite(inverse[0]).any()
+    assert np.array_equal(inverse[1], np.eye(2))
+
+
+def test_exact_zero_pivot_raises_the_rank_error():
+    # columns e1 and 2 e1: the QR leaves R = [[1, 2], [0, 0]], an exact zero
+    # pivot with no zero column, so the rank test, not a zero norm, rejects it
+    X = np.zeros((6, 2))
+    X[0] = (1.0, 2.0)
+    y = np.arange(6.0)
+    message = ("design matrix is rank deficient (singular value ratio of the unit-norm "
+               "columns 0.000e+00 < 1e-10)")
+    rng = np.random.default_rng(29)
+    good, _ = stack_of_designs(rng, (2,), 6, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for design, response in ((X, y), (np.stack([good[0], X, good[1]]), np.stack([y] * 3))):
+            with pytest.raises(SingularDesignError) as excinfo:
+                ols_fit(design, response)
+            assert str(excinfo.value) == message
+
+
+def test_fit_never_calls_np_linalg_inv(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        calls.append(a)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    rng = np.random.default_rng(31)
+    X, y = stack_of_designs(rng, (3,), 40, 3)
+    ols_fit(X, y)
+    ols_fit(X[0], y[0])
+    X[1, :, 2] = 2.0 * X[1, :, 1]
+    with pytest.raises(SingularDesignError):
+        ols_fit(X, y)
+    assert calls == []
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_random_designs_match_svd_oracle(stacked):
+    # column scales 1e-5 to 1e5, a third of the designs near-collinear on
+    # either side of the tolerance; the oracle runs on unit-norm columns
+    rng = np.random.default_rng(37 + stacked)
+    for _ in range(60):
+        p = int(rng.integers(1, 6))
+        n = int(rng.choice([p + 1, p + 3, 40, 300]))
+        shape = (3,) if stacked else ()
+        X = rng.normal(size=(*shape, n, p)) * 10.0 ** rng.uniform(-5, 5, p)
+        y = rng.normal(size=(*shape, n)) * 10.0 ** rng.uniform(-3, 3)
+        if p >= 2 and rng.random() < 1 / 3:
+            j, k = rng.choice(p, 2, replace=False)
+            noise = 10.0 ** rng.choice([-14.0, -6.0])  # rejected or kept
+            X[..., j] = X[..., k] * (1.0 + noise * rng.normal(size=(*shape, n)))
+        designs = list(np.ndindex(*shape))
+        outcomes = []
+        for d in designs:
+            norms = column_norms(X[d])
+            try:
+                oracle = svd_ols_fit(X[d] / norms, y[d])
+            except SingularDesignError:
+                outcomes.append(None)
+            else:
+                outcomes.append((oracle.coefficients / norms, oracle.standard_errors / norms,
+                                 oracle.residual_variance))
+        if None in outcomes:
+            with pytest.raises(SingularDesignError):
+                ols_fit(X, y)
+            continue
+        fit = ols_fit(X, y)
+        for d, (coefficients, standard_errors, residual_variance) in zip(designs, outcomes):
+            assert fit.coefficients[d] == pytest.approx(coefficients, rel=1e-6, abs=0.0)
+            assert fit.standard_errors[d] == pytest.approx(standard_errors, rel=1e-6)
+            assert np.asarray(fit.residual_variance)[d] == pytest.approx(residual_variance,
+                                                                         rel=1e-8)

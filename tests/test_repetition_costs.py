@@ -111,6 +111,14 @@ def test_import_leaves_scipy_stats_out():
     assert proc.stdout.strip() == "False False []"
 
 
+def test_import_leaves_the_process_pool_out():
+    # parallel_map imports concurrent.futures, and with it multiprocessing, for a pool only
+    proc = run_python("-c", "import sys, mecalib, mecalib.cli; print(sorted(m for m in "
+                      "sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_fit_correct_and_sensitivity_processes_load_no_scipy(tmp_path):
     data, _ = base_scenario_dataset(n=150)
     path = tmp_path / "d.csv"
