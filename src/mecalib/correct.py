@@ -24,6 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from types import SimpleNamespace
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import (
     SingularDesignError,
 )
 from .linreg import FitResult, ols_fit
-from .util import Substreams, draw_seed, parallel_map, require_integers, substreams
+from .util import Substreams, check_threads, draw_seed, parallel_map, require_integers, substreams
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -453,7 +454,8 @@ def _bootstrap_replicate(
 
 
 def check_bootstrap(n_boot: int, level: float) -> None:
-    """Raise ``ValueError`` unless ``n_boot >= MIN_BOOT`` and ``0 < level < 1``."""
+    """Raise ``ValueError`` unless integer ``n_boot >= MIN_BOOT`` and ``0 < level < 1``."""
+    require_integers(SimpleNamespace(n_boot=n_boot), "n_boot")
     if n_boot < MIN_BOOT:
         raise ValueError(f"n_boot must be at least {MIN_BOOT}, got {n_boot}")
     if not 0.0 < level < 1.0:
@@ -485,6 +487,7 @@ def bootstrap_ci(
     singular resample) are dropped; if more than 10% fail the interval is
     abandoned with a :class:`BootstrapError`.
     """
+    check_threads(threads)
     check_bootstrap(n_boot, level)
     correct, _ = correction_steps(corrector)
     # SIMEX is the one randomized corrector; RC ignores cfg, so its replicates

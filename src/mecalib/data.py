@@ -10,13 +10,9 @@ at load time; none of the estimators here tolerate incomplete data.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 import os
-import re
-import stat
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -163,74 +159,9 @@ def _loadtxt_rows(handle, width: int) -> np.ndarray | None:
     return values
 
 
-# Parsed CSV bodies are cached as .npy files keyed by content (see load_csv);
-# this many entries are kept, the least recently used dropped first.
-CACHE_ENTRIES = 16
-_CACHE_FORMAT = b"mecalib load_csv body 1\0"
-_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.npy")  # the only names eviction removes
-
-
-def _cache_dir() -> str:
-    """``MECALIB_CACHE_DIR``, else ``$XDG_CACHE_HOME/mecalib``, else ``~/.cache/mecalib``."""
-    cache_home = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return os.environ.get("MECALIB_CACHE_DIR") or os.path.join(cache_home, "mecalib")
-
-
-def _private_dir(directory: str) -> bool:
-    """Whether ``directory`` is a directory of this user that no one else may write.
-
-    Without POSIX owners (Windows) it is never one, so the cache is off there.
-    """
-    try:
-        st = os.stat(directory)
-    except OSError:
-        return False
-    return (stat.S_ISDIR(st.st_mode) and hasattr(os, "getuid") and st.st_uid == os.getuid()
-            and not st.st_mode & 0o022)
-
-
-def _cached_body(entry: str, width: int) -> np.ndarray | None:
-    """The body cached at ``entry``, or None if there is none of ``width`` float64 columns."""
-    if not _private_dir(os.path.dirname(entry)):
-        return None
-    try:
-        with open(entry, "rb") as handle:
-            values = np.load(handle, allow_pickle=False)
-        os.utime(entry)  # the eviction order is least recently used first
-    except (OSError, ValueError, EOFError, MemoryError):  # MemoryError: a corrupt shape
-        return None
-    if (not isinstance(values, np.ndarray) or values.dtype != np.float64 or values.ndim != 2
-            or values.shape[0] < 1 or values.shape[1] != width):
-        return None
-    values.setflags(write=False)  # a fresh array: no defensive copy needed
-    return values
-
-
-def _store_body(entry: str, values: np.ndarray) -> None:
-    """Write ``values`` to ``entry`` atomically, then drop the entries over the cap.
-
-    A cache that cannot be written, or whose directory others may write,
-    leaves the load uncached, and says nothing.
-    """
-    directory = os.path.dirname(entry)
-    try:
-        os.makedirs(directory, mode=0o700, exist_ok=True)
-        if not _private_dir(directory):
-            return
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.save(handle, values, allow_pickle=False)
-            os.replace(tmp, entry)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        entries = [e for e in os.scandir(directory) if _ENTRY_NAME.fullmatch(e.name)]
-        entries.sort(key=lambda e: e.stat().st_mtime_ns)
-        for stale in entries[:-CACHE_ENTRIES]:
-            os.unlink(stale.path)
-    except (OSError, ValueError):
-        pass
+# The last body that loaded: (text encoding, file bytes, its read-only values).
+# Only a load that succeeds sets it; a load of the same bytes reuses the values.
+_last_body: tuple[str, bytes, np.ndarray] | None = None
 
 
 def load_csv(path: str | os.PathLike, spec: AnalysisSpec) -> Dataset:
@@ -243,19 +174,10 @@ def load_csv(path: str | os.PathLike, spec: AnalysisSpec) -> Dataset:
     cell by cell (``csv`` and ``float``), which loads it or names the first bad
     cell, so both parsers give the same values bit for bit or the same error.
 
-    The file is read once.  A body that loads is cached as ``<key>.npy`` in
-    ``MECALIB_CACHE_DIR`` (else ``$XDG_CACHE_HOME/mecalib``, else
-    ``~/.cache/mecalib``), where the key is the SHA-256 of a format tag, the
-    text encoding and the file's bytes; the ``CACHE_ENTRIES`` most recently
-    used entries are kept.  A later load of the same bytes reads that entry
-    instead of parsing the body, if it holds float64 rows of the header's
-    width; the header and the spec are checked as on a parse.  A load that
-    fails is never cached, and a cache that cannot be read or written, or
-    whose directory is not this user's alone (owned by another user, or
-    writable by group or others), leaves the load uncached, so deleting the
-    directory is always safe.  Eviction removes only files named
-    ``<64 hex digits>.npy``.  The entries are copies of the parsed data, and
-    they stay until evicted or the directory is deleted.
+    The file is read once.  The body of the last load that succeeded is kept
+    in memory with the file's bytes: a load of the same bytes in the same text
+    encoding reuses its values instead of parsing them, and checks the header
+    and the spec as a parse does.  Nothing is written to disk.
 
     Raises
     ------
@@ -265,12 +187,10 @@ def load_csv(path: str | os.PathLike, spec: AnalysisSpec) -> Dataset:
         Duplicate or missing header names, ragged rows, empty or
         non-numeric cells, or a field the csv module refuses.
     """
+    global _last_body
     with open(path, "rb") as source:
         body = source.read()
     handle = io.TextIOWrapper(io.BytesIO(body), newline="")  # decoded as open() would
-    key = hashlib.sha256(_CACHE_FORMAT + handle.encoding.encode() + b"\0")
-    key.update(body)
-    entry = os.path.join(_cache_dir(), key.hexdigest() + ".npy")
     reader = csv.reader(handle)
     try:
         try:
@@ -280,8 +200,10 @@ def load_csv(path: str | os.PathLike, spec: AnalysisSpec) -> Dataset:
         if len(set(header)) != len(header):
             dupes = sorted({n for n in header if header.count(n) > 1})
             raise DataError(f"duplicate header names: {', '.join(dupes)}")
-        values = cached = _cached_body(entry, len(header))
-        if values is None:
+        last = _last_body
+        if last is not None and last[0] == handle.encoding and last[1] == body:
+            values = last[2]  # bytes compare by length, then memcmp
+        else:
             values = _loadtxt_rows(handle, len(header))
         if values is None:  # parse cell by cell: load the file or name the first bad cell
             handle.seek(0)
@@ -301,8 +223,7 @@ def load_csv(path: str | os.PathLike, spec: AnalysisSpec) -> Dataset:
     data = Dataset(tuple(header), values)
     for name in spec.all_columns():
         data.column_index(name)
-    if cached is None:
-        _store_body(entry, data.values)
+    _last_body = (handle.encoding, body, data.values)
     return data
 
 

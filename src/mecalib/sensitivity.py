@@ -22,8 +22,8 @@ from .correct import (ErrorVariance, SimexConfig, bootstrap_ci, check_bootstrap,
                       prepare_correction, rc_estimates, simex_estimates)
 from .data import AnalysisSpec, Dataset
 from .errors import InfeasibleCorrectionError
-from .util import (draw_seed, parallel_map, require_integers, require_reals, substream,
-                   substreams, write_csv_rows, write_json)
+from .util import (check_threads, draw_seed, parallel_map, require_integers, require_reals,
+                   substream, substreams, write_csv_rows, write_json)
 
 PLOT_DATA_COLUMNS = ("tau2", "estimate", "ci_lower", "ci_upper", "status")
 
@@ -203,9 +203,8 @@ def run_sensitivity(
     bootstrap intervals of the feasible draws.  Deterministic given ``seed``,
     whatever ``threads`` is.
     """
-    require_integers(SimpleNamespace(m=m, seed=seed, threads=threads), "m", "seed", "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    require_integers(SimpleNamespace(m=m, seed=seed), "m", "seed")
+    check_threads(threads)
     if ci is not None and not isinstance(ci, (bool, np.bool_)):
         raise ValueError(f"ci must be True, False or None, got {ci!r}")
     correction_steps(method)  # rejects an unknown method

@@ -26,6 +26,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .correct import (
     ErrorVariance,
     SimexConfig,
     bootstrap_ci,
+    check_bootstrap,
     correction_fits,
     rc_estimates,
     replicate_tau2,
@@ -43,8 +45,8 @@ from .correct import (
 from .data import AnalysisSpec, Dataset
 from .errors import BootstrapError, MecalibError, SimulationError, SingularDesignError
 from .linreg import wald_interval
-from .util import (DEFAULT_SEED, draw_seed, parallel_map, require_integers, require_reals,
-                   substreams, write_csv_rows, write_json)
+from .util import (DEFAULT_SEED, check_threads, draw_seed, parallel_map, require_integers,
+                   require_reals, substreams, write_csv_rows, write_json)
 
 TRUE_EFFECT = 0.2
 
@@ -398,13 +400,20 @@ def run_scenario(
     coverage is then NaN); the uncorrected analysis always gets a
     normal-theory Wald interval.  Repetitions where a correction fails are
     excluded and counted by reason; the scenario aborts if more than
-    ``max_failure_fraction`` of repetitions fail for any method.
+    ``max_failure_fraction`` (in [0, 1]) of repetitions fail for any method.
 
     Repetitions are analysed in blocks of at most ``BLOCK_REPS``: each
     repetition still draws its dataset and seeds from its own sub-streams,
     and its results equal those of analysing it alone.  Deterministic given
     (cfg, seed), independent of ``threads`` and of the blocking.
     """
+    check_threads(threads)
+    require_reals(SimpleNamespace(max_failure_fraction=max_failure_fraction),
+                  "max_failure_fraction")
+    if not 0.0 <= max_failure_fraction <= 1.0:  # NaN fails too
+        raise ValueError(f"max_failure_fraction must be in [0, 1], got {max_failure_fraction}")
+    if n_boot:
+        check_bootstrap(n_boot, level)
     if not methods:
         raise ValueError("methods must name at least one method")
     unknown = set(methods) - set(METHODS)

@@ -19,6 +19,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -226,6 +227,13 @@ def require_integers(obj, *names: str) -> None:
 def require_reals(obj, *names: str) -> None:
     """Raise ValueError unless each named attribute of ``obj`` is a non-bool real number."""
     _require(obj, names, (int, float, np.integer, np.floating), "a real number")
+
+
+def check_threads(threads) -> None:
+    """Raise ValueError unless ``threads``, a worker count, is a non-bool integer of at least 1."""
+    require_integers(SimpleNamespace(threads=threads), "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
 def draw_seed(rng: np.random.Generator) -> int:

@@ -4,6 +4,7 @@ from typing import Mapping
 import numpy as np
 import pytest
 
+import mecalib.data
 import mecalib.simstudy as simstudy
 from mecalib import (
     AnalysisSpec,
@@ -34,11 +35,9 @@ from mecalib.util import draw_seed, substream
 
 
 @pytest.fixture(autouse=True)
-def csv_cache_dir(tmp_path_factory, monkeypatch):
-    """A fresh, empty ``load_csv`` cache directory for each test (and its subprocesses)."""
-    path = tmp_path_factory.mktemp("csv-cache")
-    monkeypatch.setenv("MECALIB_CACHE_DIR", str(path))
-    return path
+def no_csv_memo(monkeypatch):
+    """Each test starts with ``load_csv`` remembering no body."""
+    monkeypatch.setattr(mecalib.data, "_last_body", None)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -585,3 +586,21 @@ def test_bootstrap_validates_arguments():
         bootstrap_ci(data, spec, "simex", tau2, None, n_boot=60, seed=1)
     with pytest.raises(ValueError, match="corrector"):
         bootstrap_ci(data, spec, "naive", tau2, n_boot=60, seed=1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(threads=2.5), "threads must be an integer, got 2.5"),
+    (dict(threads=True), "threads must be an integer, got True"),
+    (dict(threads="2"), "threads must be an integer, got '2'"),
+    (dict(threads=0), "threads must be at least 1, got 0"),
+    (dict(threads=-3), "threads must be at least 1, got -3"),
+    (dict(n_boot=50.5), "n_boot must be an integer, got 50.5"),
+    (dict(n_boot=True), "n_boot must be an integer, got True"),
+    (dict(n_boot="60"), "n_boot must be an integer, got '60'"),
+])
+def test_bootstrap_rejects_bad_worker_counts_and_sizes(kwargs, message, monkeypatch):
+    data, spec = base_scenario_dataset(n=100)
+    tau2 = estimate_tau2_from_replicates(data, spec)
+    monkeypatch.setattr(correct, "parallel_map", lambda *args, **kw: pytest.fail("work started"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bootstrap_ci(data, spec, "rc", tau2, **{"n_boot": 60, "seed": 1, **kwargs})

@@ -2,21 +2,20 @@
 
 The per-cell path (``csv`` + ``float`` per cell) is the oracle: every file
 must load to the same ``Dataset`` bit for bit, or fail with the same
-``DataError`` text, whichever body parser runs.  A load from the body cache
-must give the same bits or the same error as a load that parses.
+``DataError`` text, whichever body parser runs.  A load that reuses the
+remembered body of the last load must give the same bits or the same error
+as a load that parses.
 """
 
 import os
 import random
 import subprocess
 import sys
-import tempfile
-import warnings
 
 import numpy as np
 import pytest
 
-from mecalib import AnalysisSpec, DataError, Dataset
+from mecalib import AnalysisSpec, DataError, Dataset, ScenarioConfig, generate_dataset
 from mecalib import data as data_module
 from mecalib.data import load_csv
 from mecalib.util import write_csv_rows
@@ -24,10 +23,10 @@ from mecalib.util import write_csv_rows
 SPEC = AnalysisSpec("y", ("x",))
 
 
-def load_outcome(path):
+def load_outcome(path, spec=SPEC):
     """``("ok", names, shape, bytes)`` or ``("error", message)`` for one load."""
     try:
-        data = load_csv(path, SPEC)
+        data = load_csv(path, spec)
     except DataError as exc:
         return ("error", str(exc))
     assert not data.values.flags.writeable
@@ -35,16 +34,19 @@ def load_outcome(path):
 
 
 def outcome(path, monkeypatch, per_cell):
-    """:func:`load_outcome` against a cold cache, so one of the two body parsers runs."""
-    with monkeypatch.context() as patch, tempfile.TemporaryDirectory() as cold:
-        patch.setenv("MECALIB_CACHE_DIR", cold)
+    """:func:`load_outcome` of a cold load, so one of the two body parsers runs.
+
+    The remembered body is the same afterwards as before.
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr(data_module, "_last_body", None)
         if per_cell:
             patch.setattr(data_module, "_loadtxt_rows", lambda handle, width: None)
         return load_outcome(path)
 
 
 def parses(path, monkeypatch):
-    """One load from the current cache: (C-parser results, :func:`load_outcome`).
+    """One load from the current memo: (C-parser results, :func:`load_outcome`).
 
     The parser results are [] when no body parser ran.
     """
@@ -63,8 +65,8 @@ def parses(path, monkeypatch):
 
 
 def fast_path_used(path, monkeypatch):
-    with monkeypatch.context() as patch, tempfile.TemporaryDirectory() as cold:
-        patch.setenv("MECALIB_CACHE_DIR", cold)
+    with monkeypatch.context() as patch:
+        patch.setattr(data_module, "_last_body", None)
         return parses(path, monkeypatch)[0] == [True]
 
 
@@ -253,27 +255,30 @@ def test_field_over_the_csv_limit_exits_1_without_traceback(where, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-# -- the body cache ------------------------------------------------------------
+# -- the memo of the last body -----------------------------------------------
 
-def entries(cache_dir):
-    return sorted(name for name in os.listdir(cache_dir) if name.endswith(".npy"))
+def remembered():
+    """The file bytes of the body ``load_csv`` remembers, or None."""
+    last = data_module._last_body
+    return None if last is None else last[1]
 
 
 def cold_then_warm(path, monkeypatch):
-    """Outcomes of a load that fills the cache and of the load that follows it."""
+    """Outcomes of a cold load and of the load that follows it."""
+    monkeypatch.setattr(data_module, "_last_body", None)
     cold_parses, cold = parses(path, monkeypatch)
     warm_parses, warm = parses(path, monkeypatch)
-    # a body that loaded comes from the cache; a load that failed parses again
+    # a body that loaded is reused; a load that failed parses again
     assert warm_parses == ([] if cold[0] == "ok" else cold_parses), path.read_bytes()
     return cold, warm
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_corpus_loads_the_same_from_the_cache(name, tmp_path, monkeypatch, csv_cache_dir):
+def test_corpus_loads_the_same_from_the_cache(name, tmp_path, monkeypatch):
     path = write_bytes(tmp_path, CORPUS[name][0])
     cold, warm = cold_then_warm(path, monkeypatch)
     assert cold == warm == outcome(path, monkeypatch, True)
-    assert len(entries(csv_cache_dir)) == (cold[0] == "ok")
+    assert remembered() == (path.read_bytes() if cold[0] == "ok" else None)
 
 
 def test_random_files_load_the_same_from_the_cache(tmp_path, monkeypatch):
@@ -284,14 +289,29 @@ def test_random_files_load_the_same_from_the_cache(tmp_path, monkeypatch):
         assert cold == warm, path.read_bytes()
 
 
-def test_a_failing_load_leaves_no_entry(tmp_path, csv_cache_dir):
+def test_a_failing_load_leaves_no_entry(tmp_path):
     failing = []
+    load_outcome(write_bytes(tmp_path, "y,x\n1,2\n", "loads.csv"))
     for name, (text, _) in CORPUS.items():
-        before = entries(csv_cache_dir)
+        before = data_module._last_body
         if load_outcome(write_bytes(tmp_path, text, f"{name}.csv"))[0] == "error":
-            assert entries(csv_cache_dir) == before, name
+            assert data_module._last_body is before, name  # the memo is left as it was
             failing.append(name)
     assert "missing_spec_column" in failing and len(failing) > 20
+
+
+def test_a_hit_reuses_the_matrix_and_still_checks_header_and_spec(tmp_path, monkeypatch):
+    path = write_bytes(tmp_path, "y,x,z\n1.5,2,3\n3,-4e-3,5\n")
+    first = load_csv(path, SPEC)
+    assert load_csv(path, SPEC).values is first.values  # read-only, so shared
+    last = data_module._last_body
+    with pytest.raises(DataError, match="column not found: 'w'"):
+        load_csv(path, AnalysisSpec("y", ("w",)))
+    assert data_module._last_body is last
+    # the text encoding is part of the key: the same bytes read otherwise miss
+    monkeypatch.setattr(data_module, "_last_body", ("other", last[1], np.zeros((1, 3))))
+    assert parses(path, monkeypatch) == ([True], load_outcome(path))
+    assert load_csv(path, SPEC).values.tobytes() == first.values.tobytes()
 
 
 @pytest.mark.parametrize("where", [0, 4, -2])  # the header, the first cell, the last cell
@@ -307,150 +327,42 @@ def test_one_changed_byte_misses(where, tmp_path, monkeypatch):
     assert second == outcome(path, monkeypatch, True) != first
 
 
-def npz_bytes(values):
-    with tempfile.TemporaryDirectory() as directory:
-        target = os.path.join(directory, "values.npz")
-        np.savez(target, values=values)
-        with open(target, "rb") as handle:
-            return handle.read()
+def test_the_cap_evicts_the_least_recently_used_entry(tmp_path, monkeypatch):
+    """One body is remembered: loading another replaces it."""
+    first = write_bytes(tmp_path, "y,x\n1,2\n", "first.csv")
+    second = write_bytes(tmp_path, "y,x\n3,4\n", "second.csv")
+    load_outcome(first)
+    assert parses(first, monkeypatch)[0] == []
+    load_outcome(second)
+    assert parses(second, monkeypatch)[0] == []
+    assert parses(first, monkeypatch)[0] == [True]
+    assert remembered() == first.read_bytes()
 
 
-# Ways to spoil the entry of a 2-column file; each must be ignored and rewritten.
-GOOD = np.arange(4.0).reshape(2, 2)
-BAD_ENTRIES = {
-    "truncated": lambda entry: entry.write_bytes(entry.read_bytes()[:-5]),
-    "header_only": lambda entry: entry.write_bytes(entry.read_bytes()[:40]),
-    "empty": lambda entry: entry.write_bytes(b""),
-    "wrong_width": lambda entry: np.save(entry, GOOD[:, :-1]),
-    "float32": lambda entry: np.save(entry, GOOD.astype(np.float32)),
-    "big_endian": lambda entry: np.save(entry, GOOD.astype(">f8")),
-    "one_dimensional": lambda entry: np.save(entry, GOOD.ravel()),
-    "no_rows": lambda entry: np.save(entry, GOOD[:0]),
-    "object": lambda entry: np.save(entry, GOOD.astype(object), allow_pickle=True),
-    "npz": lambda entry: entry.write_bytes(npz_bytes(GOOD)),
-    "huge_shape": lambda entry: entry.write_bytes(entry.read_bytes().replace(
-        b"(2, 2), }" + b" " * 13, b"(10000000000000, 2), }")),  # header length kept
-}
-
-
-@pytest.mark.parametrize("damage", sorted(BAD_ENTRIES))
-def test_a_bad_entry_is_ignored_and_rewritten(damage, tmp_path, monkeypatch, csv_cache_dir):
-    path = write_bytes(tmp_path, "y,x\n1.5,2\n3,-4e-3\n")
-    expected = load_outcome(path)
-    [name] = entries(csv_cache_dir)
-    entry = csv_cache_dir / name
-    BAD_ENTRIES[damage](entry)
-    assert parses(path, monkeypatch)[0] == [True]
-    assert load_outcome(path) == expected
-    assert entries(csv_cache_dir) == [name]
-    assert np.load(entry, allow_pickle=False).tobytes() == expected[3]
-    assert parses(path, monkeypatch)[0] == []
-
-
-@pytest.mark.parametrize("where", ["under_a_file", "is_a_file"])
-def test_an_unwritable_cache_still_loads_and_warns_nothing(where, tmp_path, monkeypatch):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("not a directory\n")
-    cache = blocker / "cache" if where == "under_a_file" else blocker
-    monkeypatch.setenv("MECALIB_CACHE_DIR", str(cache))
-    path = write_bytes(tmp_path, "y,x\n1,2\n3,4\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for _ in range(2):
-            assert load_outcome(path) == outcome(path, monkeypatch, True)
-            assert parses(path, monkeypatch)[0] == [True]
-    assert caught == []
-    assert sorted(os.listdir(tmp_path)) == ["blocker", "data.csv"]
-    assert blocker.read_text() == "not a directory\n"
-
-
-def test_the_cap_evicts_the_least_recently_used_entry(tmp_path, monkeypatch, csv_cache_dir):
-    cap = data_module.CACHE_ENTRIES
-    names = []
-    for i in range(cap):
-        path = write_bytes(tmp_path, f"y,x\n{i},1\n", f"file_{i}.csv")
-        before = set(entries(csv_cache_dir))
-        load_outcome(path)
-        [name] = set(entries(csv_cache_dir)) - before
-        names.append(name)
-        os.utime(csv_cache_dir / name, ns=(i * 10**9, (1000 + i) * 10**9))  # distinct ages
-    assert parses(tmp_path / "file_0.csv", monkeypatch)[0] == []  # a hit: now the newest
-    load_outcome(write_bytes(tmp_path, "y,x\n-1,1\n", "newest.csv"))
-    left = entries(csv_cache_dir)
-    assert len(left) == cap
-    assert names[1] not in left and set(names) - {names[1]} <= set(left)
-
-
-def test_the_cache_directory_follows_the_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("MECALIB_CACHE_DIR", str(tmp_path / "explicit"))
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    monkeypatch.setenv("HOME", str(tmp_path / "home"))
-    assert data_module._cache_dir() == str(tmp_path / "explicit")
-    monkeypatch.delenv("MECALIB_CACHE_DIR")
-    assert data_module._cache_dir() == str(tmp_path / "xdg" / "mecalib")
-    monkeypatch.delenv("XDG_CACHE_HOME")
-    assert data_module._cache_dir() == str(tmp_path / "home" / ".cache" / "mecalib")
-    load_outcome(write_bytes(tmp_path, "y,x\n1,2\n"))
-    home_cache = tmp_path / "home" / ".cache" / "mecalib"
-    assert len(entries(home_cache)) == 1
-    assert os.stat(home_cache).st_mode & 0o777 == 0o700
-
-
-def test_two_fits_sharing_a_cache_write_one_entry(tmp_path, csv_cache_dir):
-    rng = np.random.default_rng(3)
-    values = rng.normal(size=(2000, 3)) * [1.0, 10.0, 5.0] + [30.0, 120.0, 32.0]
-    write_csv_rows(tmp_path / "study.csv", ("y", "x", "age"), values)
-
-    def fit(name):
-        return subprocess.Popen(
-            [sys.executable, "-m", "mecalib.cli", "fit", "--input", str(tmp_path / "study.csv"),
-             "--outcome", "y", "--exposure", "x", "--covariates", "age",
-             "--output", str(tmp_path / name)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-
-    procs = [fit("first.csv"), fit("second.csv")]
-    for proc in procs:
-        _, stderr = proc.communicate()
-        assert proc.returncode == 0, stderr
-    assert len(entries(csv_cache_dir)) == 1 and len(os.listdir(csv_cache_dir)) == 1
-    warm = fit("warm.csv")
-    assert warm.communicate()[1] == "" and warm.returncode == 0
-    first = (tmp_path / "first.csv").read_bytes()
-    assert first == (tmp_path / "second.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
-
-
-def test_eviction_keeps_files_the_cache_did_not_write(tmp_path, monkeypatch, csv_cache_dir):
-    foreign = ["results.npy", "A" * 64 + ".npy", "0" * 63 + ".npy", "notes.txt"]
-    for name in foreign:
-        (csv_cache_dir / name).write_bytes(b"kept\n")
-        os.utime(csv_cache_dir / name, ns=(0, 0))  # older than any entry
-    for i in range(data_module.CACHE_ENTRIES + 3):
-        load_outcome(write_bytes(tmp_path, f"y,x\n{i},1\n", f"file_{i}.csv"))
-    left = sorted(os.listdir(csv_cache_dir))
-    assert set(foreign) <= set(left)
-    assert len(left) == len(foreign) + data_module.CACHE_ENTRIES
-    assert all((csv_cache_dir / name).read_bytes() == b"kept\n" for name in foreign)
-
-
-@pytest.mark.parametrize("owner", ["group_writable", "world_writable", "another_user"])
-def test_a_directory_others_may_write_is_neither_read_nor_written(owner, tmp_path, monkeypatch,
-                                                                  csv_cache_dir):
-    path = write_bytes(tmp_path, "y,x\n1.5,2\n3,-4e-3\n")
-    expected = load_outcome(path)
-    [name] = entries(csv_cache_dir)
-    planted = csv_cache_dir / name
-    np.save(planted, GOOD)  # a well-formed entry with other values
-    if owner == "another_user":
-        uid = os.getuid()
-        monkeypatch.setattr(data_module.os, "getuid", lambda: uid + 1)
-    else:
-        os.chmod(csv_cache_dir, 0o770 if owner == "group_writable" else 0o707)
-    try:
-        assert parses(path, monkeypatch)[0] == [True]
-        assert load_outcome(path) == expected
-        other = write_bytes(tmp_path, "y,x\n7,8\n", "other.csv")
-        assert load_outcome(other) == outcome(other, monkeypatch, True)
-        assert entries(csv_cache_dir) == [name]
-        assert np.array_equal(np.load(planted), GOOD)
-    finally:
-        os.chmod(csv_cache_dir, 0o700)
+def test_one_shot_commands_write_only_their_outputs(tmp_path):
+    """``fit``, ``correct`` and ``sensitivity`` write nothing under HOME or the cache home."""
+    study = tmp_path / "study.csv"
+    generated = generate_dataset(ScenarioConfig(n=300), 0)
+    write_csv_rows(study, generated.column_names, generated.values)
+    home, cache_home, out = tmp_path / "home", tmp_path / "xdg", tmp_path / "out"
+    for directory in (home, cache_home, out):
+        directory.mkdir()
+    # earlier releases wrote their CSV cache to MECALIB_CACHE_DIR when it was set
+    env = {name: value for name, value in os.environ.items() if name != "MECALIB_CACHE_DIR"}
+    env.update(HOME=str(home), XDG_CACHE_HOME=str(cache_home))
+    data = ["--input", str(study), "--outcome", "creatinine", "--covariates", "age"]
+    commands = [
+        ["fit", *data, "--exposure", "bp_star_1", "--output", str(out / "fit.csv")],
+        ["correct", *data, "--method", "rc", "--replicates", "bp_star_1,bp_star_2,bp_star_3",
+         "--output", str(out / "correct.json")],
+        ["sensitivity", *data, "--exposure", "bp_star_1", "--method", "rc", "--n-boot", "0",
+         "--tau2-dist", "uniform", "--tau2-min", "10", "--tau2-max", "20", "--draws", "10",
+         "--output", str(out / "sensitivity.csv")],
+    ]
+    for command in commands:
+        proc = subprocess.run([sys.executable, "-m", "mecalib.cli", *command], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert os.listdir(home) == [] and os.listdir(cache_home) == []
+    assert sorted(os.listdir(out)) == [
+        "correct.json", "fit.csv", "sensitivity.csv", "sensitivity.json"]

@@ -341,6 +341,11 @@ def test_degenerate_prior_reproduces_single_corrector_call():
     (dict(n_boot=49), "n_boot must be at least 50, got 49"),  # rc intervals on by default
     (dict(method="simex", ci=True, n_boot=0), "n_boot must be at least 50, got 0"),
     (dict(ci=True, level=1.5), r"level must be in \(0, 1\), got 1.5"),
+    (dict(threads=2.5), "threads must be an integer, got 2.5"),
+    (dict(threads=-3), "threads must be at least 1, got -3"),
+    (dict(threads=True), "threads must be an integer, got True"),
+    (dict(threads="2"), "threads must be an integer, got '2'"),
+    (dict(ci=True, n_boot=50.5), "n_boot must be an integer, got 50.5"),
 ])
 def test_bad_arguments_raise_before_any_correction(kwargs, message, monkeypatch):
     data, spec = base_scenario_dataset(n=50)

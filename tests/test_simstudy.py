@@ -220,6 +220,31 @@ def test_run_scenario_rejects_unknown_method():
         run_scenario(small_cfg(n_reps=2), methods=("rc", "mystery"))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(threads=2.5), "threads must be an integer, got 2.5"),
+    (dict(threads=True), "threads must be an integer, got True"),
+    (dict(threads="2"), "threads must be an integer, got '2'"),
+    (dict(threads=0), "threads must be at least 1, got 0"),
+    (dict(threads=-3), "threads must be at least 1, got -3"),
+    (dict(max_failure_fraction=-0.5), r"max_failure_fraction must be in \[0, 1\], got -0.5"),
+    (dict(max_failure_fraction=1.5), r"max_failure_fraction must be in \[0, 1\], got 1.5"),
+    (dict(max_failure_fraction=float("nan")), r"max_failure_fraction must be in \[0, 1\], got nan"),
+    (dict(max_failure_fraction="0.1"), "max_failure_fraction must be a real number, got '0.1'"),
+    (dict(n_boot=10), "n_boot must be at least 50, got 10"),
+    (dict(n_boot=50.5), "n_boot must be an integer, got 50.5"),
+])
+def test_run_scenario_rejects_bad_arguments_before_any_repetition(kwargs, message, monkeypatch):
+    monkeypatch.setattr(simstudy, "parallel_map", lambda *args, **kw: pytest.fail("work started"))
+    with pytest.raises(ValueError, match=message):
+        run_scenario(small_cfg(n_reps=4), **kwargs)
+
+
+def test_run_scenario_max_failure_fraction_bounds_are_allowed():
+    cfg = small_cfg(n_reps=4)
+    assert repr(run_scenario(cfg, max_failure_fraction=0.0)) == repr(
+        run_scenario(cfg, max_failure_fraction=1))
+
+
 def test_run_scenario_needs_a_method():
     with pytest.raises(ValueError, match="at least one method"):
         run_scenario(small_cfg(n_reps=2), methods=())
