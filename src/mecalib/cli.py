@@ -132,14 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
                        default=simex_defaults.extrapolant,
                        help="trend model extrapolated to lambda = -1")
 
-    def add_common_flags(p, n_boot_default):
+    def add_common_flags(p, n_boot_default, threads_help):
         p.add_argument("--n-boot", type=_n_boot, default=n_boot_default,
                        help="bootstrap replicates for percentile CIs (0 disables)")
         p.add_argument("--level", type=_level, default=0.95, help="confidence level, in (0, 1)")
         p.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED,
                        help="seed for all randomized steps")
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="worker processes for independent work units")
+        p.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
 
     p_fit = sub.add_parser("fit", formatter_class=fmt,
                            help="ordinary least squares fit, measurement error ignored")
@@ -156,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated replicate columns; estimates tau2 and "
                             "uses the first as the analysis exposure")
     add_simex_flags(p_cor)
-    add_common_flags(p_cor, n_boot_default=0)
+    add_common_flags(p_cor, 0, threads_help="accepted and unused: correct runs in one process")
     p_cor.add_argument("--output", help="optional JSON path for the full result")
 
     p_sen = sub.add_parser("sensitivity", formatter_class=fmt,
@@ -175,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-draw bootstrap CIs (auto: on for rc unless --n-boot is 0, "
                             "off for simex)")
     add_simex_flags(p_sen)
-    add_common_flags(p_sen, n_boot_default=199)
+    add_common_flags(p_sen, 199, threads_help="worker processes for the per-draw intervals")
     p_sen.add_argument("--output", required=True,
                        help="CSV path for plot data (JSON summary written alongside)")
 
@@ -188,9 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=_positive_int, help="override repetitions per scenario")
     p_sim.add_argument("--methods", type=_comma_list, default=METHODS,
                        help="comma-separated subset of " + ",".join(METHODS))
-    p_sim.add_argument("--full", action="store_true",
-                       help="accepted and ignored: 'all' runs every scenario, n=10000 included")
-    add_common_flags(p_sim, n_boot_default=0)
+    add_common_flags(p_sim, 0, threads_help="worker processes for blocks of repetitions")
     p_sim.add_argument("--out-dir", default="study_report",
                        help="directory for the report CSVs and summaries.json")
     for p in (p_fit, p_cor, p_sen, p_sim):  # a handler's usage errors print its usage line
@@ -270,10 +267,8 @@ def _cmd_correct(args, parser) -> int:
     result = apply(prepared, tau2, cfg)
     uncorrected = prepared.slope
     if args.n_boot:
-        lower, upper = bootstrap_ci(
-            data, spec, args.method, tau2, cfg,
-            n_boot=args.n_boot, level=args.level, seed=args.seed, threads=args.threads,
-        )
+        lower, upper = bootstrap_ci(data, spec, args.method, tau2, cfg, n_boot=args.n_boot,
+                                    level=args.level, seed=args.seed)
         result = replace(result, ci_lower=lower, ci_upper=upper)
 
     rows = [

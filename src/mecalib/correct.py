@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Mapping, NamedTuple
 
@@ -37,7 +37,7 @@ from .errors import (
     SingularDesignError,
 )
 from .linreg import FitResult, ols_fit
-from .util import Substreams, check_threads, draw_seed, parallel_map, require_integers, substreams
+from .util import check_level, draw_seed, require_integers, substreams
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -432,16 +432,14 @@ def _bootstrap_replicate(
     tau2: ErrorVariance,
     row_sums_of_squares: np.ndarray | None,
     cfg: SimexConfig | None,
-    streams: Substreams,
-    index: int,
+    rng: np.random.Generator,
 ) -> float | None:
-    """One resample-and-correct pass; None signals a failed replicate.
+    """One resample-and-correct pass on the replicate's generator; None signals a failure.
 
     With ``row_sums_of_squares`` (tau2 from replicates) tau2 is pooled from
     the drawn rows' entries, which equals re-estimating it on the resample.
     A given ``cfg`` gets a fresh seed per replicate, drawn after the rows.
     """
-    rng = streams[index]
     rows = rng.integers(0, data.n_rows, size=data.n_rows)
     resample = data.take_rows(rows)
     tau2_b = tau2 if row_sums_of_squares is None else ErrorVariance(
@@ -454,12 +452,11 @@ def _bootstrap_replicate(
 
 
 def check_bootstrap(n_boot: int, level: float) -> None:
-    """Raise ``ValueError`` unless integer ``n_boot >= MIN_BOOT`` and ``0 < level < 1``."""
+    """Raise ``ValueError`` unless integer ``n_boot >= MIN_BOOT`` and real ``0 < level < 1``."""
     require_integers(SimpleNamespace(n_boot=n_boot), "n_boot")
     if n_boot < MIN_BOOT:
         raise ValueError(f"n_boot must be at least {MIN_BOOT}, got {n_boot}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    check_level(level)
 
 
 def bootstrap_ci(
@@ -471,7 +468,6 @@ def bootstrap_ci(
     n_boot: int = 999,
     level: float = 0.95,
     seed: int = 0,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """Percentile bootstrap interval for a corrected exposure coefficient.
 
@@ -481,28 +477,27 @@ def bootstrap_ci(
     interval; an externally supplied tau2 is held fixed.  Replicate ``b``
     uses the RNG sub-stream (seed, b), so the interval is reproducible and
     independent of any execution order; the sub-streams of all replicates
-    are seeded in one pass (:func:`substreams`).
+    are seeded in one pass (:func:`substreams`), and every replicate runs in
+    the calling process.
 
     Replicates on which the correction fails (infeasible calibration,
     singular resample) are dropped; if more than 10% fail the interval is
     abandoned with a :class:`BootstrapError`.
     """
-    check_threads(threads)
     check_bootstrap(n_boot, level)
     correct, _ = correction_steps(corrector)
-    # SIMEX is the one randomized corrector; RC ignores cfg, so its replicates
-    # get None and skip the per-replicate reseed.
-    randomized = corrector == "simex"
-    if randomized and cfg is None:
+    if corrector == "rc":  # RC ignores cfg: its replicates skip the per-replicate reseed
+        cfg = None
+    elif cfg is None:  # SIMEX is the one randomized corrector
         raise ValueError("the simex corrector needs a SimexConfig")
 
     row_sums_of_squares = (
         _replicate_sums_of_squares(data.columns(spec.exposure_replicates))
         if tau2.source == "replicates" else None
     )
-    worker = partial(_bootstrap_replicate, data, spec, correct, tau2, row_sums_of_squares,
-                     cfg if randomized else None, substreams(seed, np.arange(n_boot)))
-    replicate_estimates = parallel_map(worker, range(n_boot), threads=threads)
+    streams = substreams(seed, np.arange(n_boot))
+    replicate_estimates = (_bootstrap_replicate(data, spec, correct, tau2, row_sums_of_squares,
+                                                cfg, streams[b]) for b in range(n_boot))
     estimates = [est for est in replicate_estimates if est is not None]
     failures = n_boot - len(estimates)
     if failures > 0.1 * n_boot:

@@ -23,6 +23,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg, lapack_lite
 
 from .errors import InsufficientDataError, SingularDesignError
+from .util import check_level
 
 # Relative singular-value cutoff, on unit-norm columns, below which a design
 # counts as rank deficient.
@@ -210,8 +211,7 @@ def wald_interval(fit: FitResult, index: int = 1, level: float = 0.95):
     """
     from scipy import special
 
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    check_level(level)
     half = special.stdtrit(fit.n - fit.p, 0.5 + level / 2.0) * fit.standard_errors[..., index]
     estimate = fit.coefficients[..., index]
     lower, upper = estimate - half, estimate + half

@@ -45,8 +45,8 @@ from .correct import (
 from .data import AnalysisSpec, Dataset
 from .errors import BootstrapError, MecalibError, SimulationError, SingularDesignError
 from .linreg import wald_interval
-from .util import (DEFAULT_SEED, check_threads, draw_seed, parallel_map, require_integers,
-                   require_reals, substreams, write_csv_rows, write_json)
+from .util import (DEFAULT_SEED, check_level, check_threads, draw_seed, parallel_map,
+                   require_integers, require_reals, substreams, write_csv_rows, write_json)
 
 TRUE_EFFECT = 0.2
 
@@ -182,6 +182,9 @@ def generate_dataset(cfg: ScenarioConfig, rep_index: int) -> Dataset:
 # infeasible (tau2 >= V), a design is rank deficient, or too many bootstrap
 # replicates failed.
 FAILURE_REASONS = ("infeasible", "singular", "bootstrap")
+
+# A scenario aborts when more than this share of its repetitions fail for a method.
+MAX_FAILURE_FRACTION = 0.1
 
 # Repetitions analysed together: a block makes two stacked fits and one
 # array pass of each correction, whatever its size.
@@ -392,7 +395,6 @@ def run_scenario(
     level: float = 0.95,
     simex_config: SimexConfig | None = None,
     threads: int = 1,
-    max_failure_fraction: float = 0.1,
 ) -> PerformanceSummary:
     """Run all repetitions of one scenario and aggregate performance.
 
@@ -400,7 +402,7 @@ def run_scenario(
     coverage is then NaN); the uncorrected analysis always gets a
     normal-theory Wald interval.  Repetitions where a correction fails are
     excluded and counted by reason; the scenario aborts if more than
-    ``max_failure_fraction`` (in [0, 1]) of repetitions fail for any method.
+    ``MAX_FAILURE_FRACTION`` of repetitions fail for any method.
 
     Repetitions are analysed in blocks of at most ``BLOCK_REPS``: each
     repetition still draws its dataset and seeds from its own sub-streams,
@@ -408,10 +410,8 @@ def run_scenario(
     (cfg, seed), independent of ``threads`` and of the blocking.
     """
     check_threads(threads)
-    require_reals(SimpleNamespace(max_failure_fraction=max_failure_fraction),
-                  "max_failure_fraction")
-    if not 0.0 <= max_failure_fraction <= 1.0:  # NaN fails too
-        raise ValueError(f"max_failure_fraction must be in [0, 1], got {max_failure_fraction}")
+    require_integers(SimpleNamespace(n_boot=n_boot), "n_boot")  # 0.0 is not "no bootstrap"
+    check_level(level)  # the Wald interval reads it, with or without a bootstrap
     if n_boot:
         check_bootstrap(n_boot, level)
     if not methods:
@@ -432,7 +432,7 @@ def run_scenario(
         if method not in methods:
             continue
         perf = _summarize_method(method, [r[method] for r in results], cfg.n_reps)
-        if perf.n_failures > max_failure_fraction * cfg.n_reps:
+        if perf.n_failures > MAX_FAILURE_FRACTION * cfg.n_reps:
             raise SimulationError(
                 f"scenario {cfg.name!r}: {perf.n_failures} of {cfg.n_reps} "
                 f"repetitions failed for method {method!r} ({_reasons(perf.failures)})"

@@ -139,7 +139,8 @@ class Substreams:
     """A table of generators, each built on demand from its seed words.
 
     ``words`` is a (count, 4) uint64 array: the words PCG64 seeds stream ``i``
-    from, 32 bytes a stream, so a table of streams pickles cheaply.
+    from, 32 bytes a stream.  No table crosses a process boundary: a job sent
+    to a worker process carries seeds, and its streams are seeded there.
     """
 
     def __init__(self, words: np.ndarray):
@@ -234,6 +235,13 @@ def check_threads(threads) -> None:
     require_integers(SimpleNamespace(threads=threads), "threads")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+
+
+def check_level(level) -> None:
+    """Raise ValueError unless ``level``, a confidence level, is a non-bool real in (0, 1)."""
+    require_reals(SimpleNamespace(level=level), "level")
+    if not 0.0 < level < 1.0:  # NaN fails too
+        raise ValueError(f"level must be in (0, 1), got {level}")
 
 
 def draw_seed(rng: np.random.Generator) -> int:

@@ -3,11 +3,12 @@ import io
 import json
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from mecalib import cli
+from mecalib import cli, util
 from mecalib.util import write_csv_rows
 
 from conftest import base_scenario_dataset
@@ -163,6 +164,41 @@ def test_threads_below_one_is_usage_error(study_csv, tmp_path, threads, capsys):
         assert code == 2, (command[0], err)
         assert "--threads" in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+def test_only_sensitivity_and_simulate_start_worker_processes(study_csv, tmp_path, capsys,
+                                                             monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):  # runs the jobs, in threads
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(util, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(util.os, "cpu_count", lambda: 4)
+    data = ("--input", str(study_csv), "--outcome", "creatinine", "--covariates", "age")
+    commands = {  # argv, with {out} an output directory -> the pools it starts at --threads 2
+        ("correct", *data, "--method", "rc", "--replicates", "bp_star_1,bp_star_2,bp_star_3",
+         "--n-boot", "50", "--output", "{out}/c.json"): [],
+        ("sensitivity", *data, "--exposure", "bp_star_1", "--method", "rc", "--ci", "on",
+         "--n-boot", "50", "--tau2-dist", "uniform", "--tau2-min", "1", "--tau2-max", "5",
+         "--draws", "6", "--output", "{out}/s.csv"): [2],
+        ("simulate", "--scenario", "base", "--reps", "8", "--out-dir", "{out}"): [2],
+    }
+    for argv, started in commands.items():
+        outputs = []
+        for threads in ("1", "2"):
+            pools.clear()
+            out = tmp_path / argv[0] / threads
+            out.mkdir(parents=True)
+            code, stdout, err = run_main(
+                [arg.format(out=out) for arg in argv] + ["--threads", threads], capsys)
+            assert code == 0, err
+            assert pools == ([] if threads == "1" else started), argv[0]
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            outputs.append((stdout.replace(str(out), "{out}"), files))
+        assert outputs[0] == outputs[1], argv[0]
 
 
 def test_simulate_without_methods_is_usage_error(tmp_path, capsys):
@@ -399,17 +435,24 @@ def test_simulate_failure_is_one_line_naming_its_cause(tmp_path, scenario, messa
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("full", [(), ("--full",)])
-def test_simulate_all_runs_all_22_scenarios(tmp_path, full):
+def test_simulate_all_runs_all_22_scenarios(tmp_path):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["simulate", "--scenario", "all", "--reps", "1", "--methods",
-                         "uncorrected", *full, "--out-dir", str(tmp_path)])
+                         "uncorrected", "--out-dir", str(tmp_path)])
     assert code == 0
     payload = json.loads((tmp_path / "summaries.json").read_text())
     assert len(payload) == 22
     assert max(entry["scenario"]["n"] for entry in payload) == 10000
     assert "/22] scenario=n_10000 " in out.getvalue()
+
+
+def test_simulate_has_no_full_option(tmp_path, capsys):
+    code, out, err = run_main(["simulate", "--scenario", "base", "--reps", "1", "--full",
+                               "--out-dir", str(tmp_path / "o")], capsys)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --full" in err
+    assert not any(tmp_path.iterdir())
 
 
 def sensitivity_argv(csv_path, out, *extra):

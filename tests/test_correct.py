@@ -483,9 +483,7 @@ def test_bootstrap_deterministic_and_thread_invariant():
     tau2 = estimate_tau2_from_replicates(data, spec)
     kwargs = dict(n_boot=60, level=0.95, seed=77)
     first = bootstrap_ci(data, spec, "rc", tau2, **kwargs)
-    second = bootstrap_ci(data, spec, "rc", tau2, **kwargs)
-    pooled = bootstrap_ci(data, spec, "rc", tau2, threads=2, **kwargs)
-    assert first == second == pooled
+    assert bootstrap_ci(data, spec, "rc", tau2, **kwargs) == first
 
 
 def test_bootstrap_matches_svd_oracle_fits(monkeypatch):
@@ -533,9 +531,7 @@ def test_bootstrap_simex_deterministic():
     tau2 = estimate_tau2_from_replicates(data, spec)
     cfg = SimexConfig(seed=9, n_sim=5)
     first = bootstrap_ci(data, spec, "simex", tau2, cfg, n_boot=50, seed=6)
-    second = bootstrap_ci(data, spec, "simex", tau2, cfg, n_boot=50, seed=6)
-    pooled = bootstrap_ci(data, spec, "simex", tau2, cfg, n_boot=50, seed=6, threads=2)
-    assert first == second == pooled
+    assert bootstrap_ci(data, spec, "simex", tau2, cfg, n_boot=50, seed=6) == first
 
 
 def test_bootstrap_interval_brackets_truth_on_well_behaved_data():
@@ -589,11 +585,11 @@ def test_bootstrap_validates_arguments():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(threads=2.5), "threads must be an integer, got 2.5"),
-    (dict(threads=True), "threads must be an integer, got True"),
-    (dict(threads="2"), "threads must be an integer, got '2'"),
-    (dict(threads=0), "threads must be at least 1, got 0"),
-    (dict(threads=-3), "threads must be at least 1, got -3"),
+    (dict(level="0.9"), "level must be a real number, got '0.9'"),
+    (dict(level=True), "level must be a real number, got True"),
+    (dict(level=0), "level must be in (0, 1), got 0"),
+    (dict(level=1.5), "level must be in (0, 1), got 1.5"),
+    (dict(level=float("nan")), "level must be in (0, 1), got nan"),
     (dict(n_boot=50.5), "n_boot must be an integer, got 50.5"),
     (dict(n_boot=True), "n_boot must be an integer, got True"),
     (dict(n_boot="60"), "n_boot must be an integer, got '60'"),
@@ -601,6 +597,7 @@ def test_bootstrap_validates_arguments():
 def test_bootstrap_rejects_bad_worker_counts_and_sizes(kwargs, message, monkeypatch):
     data, spec = base_scenario_dataset(n=100)
     tau2 = estimate_tau2_from_replicates(data, spec)
-    monkeypatch.setattr(correct, "parallel_map", lambda *args, **kw: pytest.fail("work started"))
+    monkeypatch.setattr(correct, "_bootstrap_replicate",
+                        lambda *args, **kw: pytest.fail("work started"))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         bootstrap_ci(data, spec, "rc", tau2, **{"n_boot": 60, "seed": 1, **kwargs})

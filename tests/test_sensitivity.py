@@ -346,6 +346,7 @@ def test_degenerate_prior_reproduces_single_corrector_call():
     (dict(threads=True), "threads must be an integer, got True"),
     (dict(threads="2"), "threads must be an integer, got '2'"),
     (dict(ci=True, n_boot=50.5), "n_boot must be an integer, got 50.5"),
+    (dict(ci=True, level="0.9"), "level must be a real number, got '0.9'"),
 ])
 def test_bad_arguments_raise_before_any_correction(kwargs, message, monkeypatch):
     data, spec = base_scenario_dataset(n=50)

@@ -226,10 +226,11 @@ def test_run_scenario_rejects_unknown_method():
     (dict(threads="2"), "threads must be an integer, got '2'"),
     (dict(threads=0), "threads must be at least 1, got 0"),
     (dict(threads=-3), "threads must be at least 1, got -3"),
-    (dict(max_failure_fraction=-0.5), r"max_failure_fraction must be in \[0, 1\], got -0.5"),
-    (dict(max_failure_fraction=1.5), r"max_failure_fraction must be in \[0, 1\], got 1.5"),
-    (dict(max_failure_fraction=float("nan")), r"max_failure_fraction must be in \[0, 1\], got nan"),
-    (dict(max_failure_fraction="0.1"), "max_failure_fraction must be a real number, got '0.1'"),
+    # the Wald interval reads level, so it is checked without a bootstrap too
+    (dict(level=1.5), r"level must be in \(0, 1\), got 1.5"),
+    (dict(level="0.9"), "level must be a real number, got '0.9'"),
+    (dict(level="0.9", n_boot=50), "level must be a real number, got '0.9'"),
+    (dict(n_boot=0.0), "n_boot must be an integer, got 0.0"),
     (dict(n_boot=10), "n_boot must be at least 50, got 10"),
     (dict(n_boot=50.5), "n_boot must be an integer, got 50.5"),
 ])
@@ -237,12 +238,6 @@ def test_run_scenario_rejects_bad_arguments_before_any_repetition(kwargs, messag
     monkeypatch.setattr(simstudy, "parallel_map", lambda *args, **kw: pytest.fail("work started"))
     with pytest.raises(ValueError, match=message):
         run_scenario(small_cfg(n_reps=4), **kwargs)
-
-
-def test_run_scenario_max_failure_fraction_bounds_are_allowed():
-    cfg = small_cfg(n_reps=4)
-    assert repr(run_scenario(cfg, max_failure_fraction=0.0)) == repr(
-        run_scenario(cfg, max_failure_fraction=1))
 
 
 def test_run_scenario_needs_a_method():

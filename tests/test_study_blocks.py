@@ -168,8 +168,8 @@ def test_singular_repetition_inside_a_block(monkeypatch):
     rows = _run_block((cfg, 0, 5, ("rc", "simex"), 0, 0.95, SIMEX))
     assert rows[2] == {"rc": "singular", "simex": "singular"}
     assert_rows_match_alone(cfg, rows, ("rc", "simex"), 0)
-    summary = run_scenario(cfg, methods=("rc", "simex"), simex_config=SIMEX,
-                           max_failure_fraction=1.0)
+    monkeypatch.setattr(simstudy, "MAX_FAILURE_FRACTION", 1.0)
+    summary = run_scenario(cfg, methods=("rc", "simex"), simex_config=SIMEX)
     for perf in summary.methods.values():
         assert perf.failures == {"infeasible": 0, "singular": 1, "bootstrap": 0}
         assert perf.n_failures == 1 and perf.n_reps_used == 4
@@ -211,18 +211,19 @@ def test_simex_overflow_in_a_block_aborts_with_the_same_error(monkeypatch):
             run_scenario(cfg, simex_config=SIMEX)
         assert str(blocked.value) == str(alone.value)
         # RC alone meets only an infeasible repetition
-        summary = run_scenario(cfg, methods=("rc",), max_failure_fraction=0.5)
+        monkeypatch.setattr(simstudy, "MAX_FAILURE_FRACTION", 0.5)
+        summary = run_scenario(cfg, methods=("rc",))
     assert summary.methods["rc"].failures["infeasible"] == 1
 
 
-def test_failures_by_reason_match_repetitions_alone(tmp_path):
+def test_failures_by_reason_match_repetitions_alone(tmp_path, monkeypatch):
     # tau2 = 200 at n = 60: some calibrations are infeasible and some
     # bootstraps lose more than 10% of their replicates
     cfg = ScenarioConfig(name="tau2_200_n60", tau2=200.0, n=60, n_reps=12, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # dropped bootstrap replicates
-        summary = run_scenario(cfg, methods=("uncorrected", "rc"), n_boot=50,
-                               max_failure_fraction=1.0)
+        monkeypatch.setattr(simstudy, "MAX_FAILURE_FRACTION", 1.0)
+        summary = run_scenario(cfg, methods=("uncorrected", "rc"), n_boot=50)
         alone = [run_repetition(cfg, rep, ("uncorrected", "rc"), 50, 0.95, SimexConfig())
                  for rep in range(cfg.n_reps)]
     expected = dict.fromkeys(FAILURE_REASONS, 0)
