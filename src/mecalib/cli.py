@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from dataclasses import replace
 
@@ -75,9 +74,10 @@ def _nonnegative_int(text: str) -> int:
 
 def _tau2(text: str) -> float:
     value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {value}")
-    return value
+    try:
+        return ErrorVariance(value).tau2
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _level(text: str) -> float:

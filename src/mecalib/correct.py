@@ -20,7 +20,6 @@ Confidence intervals come from a row-resampling percentile bootstrap.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -37,7 +36,7 @@ from .errors import (
     SingularDesignError,
 )
 from .linreg import FitResult, ols_fit
-from .util import check_level, draw_seed, require_integers, substreams
+from .util import check_level, draw_seed, require_integers, require_real, substreams
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -66,8 +65,9 @@ class ErrorVariance:
     def __post_init__(self):
         if self.source not in ("replicates", "external"):
             raise ValueError(f"unknown error variance source {self.source!r}")
-        if not math.isfinite(self.tau2) or self.tau2 < 0.0:
-            raise ValueError(f"tau2 must be a finite nonnegative number, got {self.tau2}")
+        require_real("tau2", self.tau2)
+        if self.tau2 < 0.0:
+            raise ValueError(f"tau2 must be nonnegative, got {self.tau2}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,10 @@ class SimexConfig:
 
     def __post_init__(self):
         require_integers(self, "n_sim", "seed")
-        object.__setattr__(self, "lambda_grid", tuple(float(lam) for lam in self.lambda_grid))
-        grid = self.lambda_grid
-        if not all(math.isfinite(lam) for lam in grid):
-            raise ValueError(f"lambda_grid must hold finite numbers, got {grid}")
+        for i, lam in enumerate(self.lambda_grid):
+            require_real(f"lambda_grid[{i}]", lam)
+        grid = tuple(map(float, self.lambda_grid))
+        object.__setattr__(self, "lambda_grid", grid)
         if len(grid) < 2:
             raise ValueError("lambda_grid needs at least two points")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -313,11 +313,10 @@ def _simex_values(prepared: CorrectionInputs, tau2, cfg: SimexConfig, seeds):
     # a row with tau2 = 0 draws nothing
     simulated = [r for r, value in enumerate(tau2.tolist()) if value != 0.0]
     paths = range(1, len(lambdas) + 1)
-    streams = iter(substreams([seeds[r] for r in simulated for _ in paths],
-                              [*paths] * len(simulated)))
+    streams = substreams([seeds[r] for r in simulated for _ in paths], [*paths] * len(simulated))
     for r in simulated:
-        for i, draws in enumerate(z[r]):
-            rng = next(streams)
+        # zip reads z[r] first, so it stops without taking the next row's stream
+        for i, (draws, rng) in enumerate(zip(z[r], streams)):
             rng.standard_normal(out=draws)
             if rest_df[r] > 0:
                 rest[r, i] = rng.chisquare(rest_df[r], cfg.n_sim)
@@ -495,9 +494,9 @@ def bootstrap_ci(
         _replicate_sums_of_squares(data.columns(spec.exposure_replicates))
         if tau2.source == "replicates" else None
     )
-    streams = substreams(seed, np.arange(n_boot))
     replicate_estimates = (_bootstrap_replicate(data, spec, correct, tau2, row_sums_of_squares,
-                                                cfg, streams[b]) for b in range(n_boot))
+                                                cfg, rng)
+                           for rng in substreams(seed, np.arange(n_boot)))
     estimates = [est for est in replicate_estimates if est is not None]
     failures = n_boot - len(estimates)
     if failures > 0.1 * n_boot:

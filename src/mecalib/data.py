@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .util import column_names
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,8 @@ class AnalysisSpec:
 
     ``exposure_replicates`` lists the error-prone measurements of the same
     underlying exposure, in order; analyses that use a single measurement take
-    the first entry.  ``covariates`` may be empty.
+    the first entry.  ``covariates`` may be empty.  Both hold ``str`` names
+    (see :func:`~mecalib.util.column_names`).
     """
 
     outcome: str
@@ -35,8 +37,8 @@ class AnalysisSpec:
     covariates: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "exposure_replicates", tuple(self.exposure_replicates))
-        object.__setattr__(self, "covariates", tuple(self.covariates))
+        for name in ("exposure_replicates", "covariates"):
+            object.__setattr__(self, name, column_names(name, getattr(self, name)))
         if not self.exposure_replicates:
             raise ValueError("exposure_replicates must name at least one column")
         roles = (self.outcome, *self.exposure_replicates, *self.covariates)
@@ -64,15 +66,15 @@ class Dataset:
     """Immutable numeric table with named columns.
 
     Invariants enforced at construction: a 2-D float matrix with at least one
-    row, every value finite, one unique name per column.  The value buffer is
-    marked read-only, so instances are safe to share across workers.
+    row, every value finite, one unique ``str`` name per column.  The value
+    buffer is marked read-only, so instances are safe to share across workers.
     """
 
     column_names: tuple[str, ...]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        names = tuple(self.column_names)
+        names = column_names("column_names", self.column_names)
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise DataError(f"values must be a 2-D matrix, got ndim={values.ndim}")

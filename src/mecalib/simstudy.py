@@ -85,16 +85,14 @@ class ScenarioConfig:
     def __post_init__(self):
         require_integers(self, "n", "k", "n_reps", "seed")
         require_reals(self, "tau2", "sigma2", "gamma")
-        if not np.isfinite(self.tau2) or self.tau2 < 0.0:
+        if self.tau2 < 0.0:
             raise ValueError(f"tau2 must be nonnegative, got {self.tau2}")
         if self.n < 4:
             raise ValueError(f"n must leave degrees of freedom for 3 parameters, got {self.n}")
         if self.k < 2:
             raise ValueError(f"k must be at least 2 replicates, got {self.k}")
-        if not np.isfinite(self.sigma2) or self.sigma2 <= 0.0:
+        if self.sigma2 <= 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if not np.isfinite(self.gamma):
-            raise ValueError("gamma must be finite")
         if self.n_reps < 1:
             raise ValueError(f"n_reps must be at least 1, got {self.n_reps}")
         if self.seed < 0:
@@ -149,11 +147,9 @@ def generate_block(cfg: ScenarioConfig, reps: range) -> np.ndarray:
     so large that the data overflow float64 raises ``ValueError``.
     """
     n, k = cfg.n, cfg.k
-    streams = substreams(cfg.seed, np.arange(reps.start, reps.stop))
     age, bp_noise, outcome_noise = np.empty((3, len(reps), n))
     replicate_errors = np.empty((len(reps), n, k))
-    for r in range(len(reps)):
-        rng = streams[r]
+    for r, rng in enumerate(substreams(cfg.seed, np.arange(reps.start, reps.stop))):
         age[r] = rng.normal(AGE_MEAN, np.sqrt(AGE_VAR), n)
         bp_noise[r] = rng.normal(0.0, np.sqrt(BP_VAR_GIVEN_AGE), n)
         replicate_errors[r] = rng.normal(0.0, np.sqrt(cfg.tau2), (n, k))
@@ -256,9 +252,7 @@ def _prepare_block(cfg: ScenarioConfig, reps: range, methods, n_boot: int):
     # seed per correction method) so that results for one method do not
     # depend on which other methods were requested.
     if "simex" in methods or n_boot:
-        streams = substreams(cfg.seed, [(rep, 1) for rep in reps])
-        for r in range(len(reps)):
-            rng = streams[r]
+        for rng in substreams(cfg.seed, [(rep, 1) for rep in reps]):
             simex_seeds.append(draw_seed(rng))
             if n_boot:
                 boot_seeds.append({method: draw_seed(rng) for method in CORRECTION_METHODS})

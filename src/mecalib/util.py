@@ -5,7 +5,7 @@ and a single integer seed.  Independent work units (bootstrap replicates,
 simulation repetitions, sensitivity draws) each get their own generator via
 :func:`substream`, addressed by an index path, so results never depend on
 execution order and re-runs are bit-identical.  :func:`substreams` seeds
-a table of such streams, for one seed or one seed per stream, in one
+a run of such streams, for one seed or one seed per stream, in one
 vectorized pass.
 """
 
@@ -17,6 +17,7 @@ import math
 import operator
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from functools import lru_cache
 from types import SimpleNamespace
@@ -135,37 +136,13 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-class Substreams:
-    """A table of generators, each built on demand from its seed words.
-
-    ``words`` is a (count, 4) uint64 array: the words PCG64 seeds stream ``i``
-    from, 32 bytes a stream.  No table crosses a process boundary: a job sent
-    to a worker process carries seeds, and its streams are seeded there.
-    """
-
-    def __init__(self, words: np.ndarray):
-        words = np.ascontiguousarray(words, dtype=np.uint64)  # PCG64 reads rows by pointer
-        if words.ndim != 2 or words.shape[1] != 4:
-            raise ValueError(f"seed words must have shape (count, 4), got {words.shape}")
-        self.words = words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __getitem__(self, index) -> np.random.Generator:
-        index = operator.index(index)
-        if not 0 <= index < len(self.words):
-            raise IndexError(f"stream {index} of a table of {len(self.words)}")
-        return np.random.Generator(np.random.PCG64(_SeedWords(self.words[index])))
-
-
 def _check_path_words(smallest, largest) -> None:
     if smallest < 0 or largest > _MASK32:
         raise ValueError("path words must be in [0, 2**32)")
 
 
-def substreams(seeds, keys) -> Substreams:
-    """The generators ``substream(seeds[i], *keys[i])``, bit for bit, as one table.
+def substreams(seeds, keys) -> Iterator[np.random.Generator]:
+    """The generators ``substream(seeds[i], *keys[i])``, bit for bit, in order.
 
     ``keys`` holds one path per stream: a 1-D array of one-word paths or a
     (count, 2) array of two-word paths, each word in [0, 2**32).  ``seeds`` is
@@ -176,7 +153,9 @@ def substreams(seeds, keys) -> Substreams:
     hash steps run over uint32 arrays of all streams at once (the words of a
     shared seed once); PCG64 then runs its own seeding step on each stream's
     words.  Below ``_ARRAY_PASS_FROM`` streams, or with a per-stream seed of
-    2**64 or more, SeedSequence itself seeds each stream.
+    2**64 or more, SeedSequence itself seeds each stream.  The arguments are
+    checked, and every stream's seed words computed, at the call; each
+    generator is built when the iteration reaches it.
     """
     keys = np.asarray(keys)
     if keys.ndim == 1:
@@ -202,32 +181,63 @@ def substreams(seeds, keys) -> Substreams:
         # eight 32-bit words a stream, the words of generate_state(4, np.uint64)
         state = [np.random.SeedSequence(seed, spawn_key=path).generate_state(2 * _POOL_SIZE)
                  for seed, path in zip(seeds, paths)]
-        return Substreams(np.array(state, dtype="<u4").view("<u8").reshape(count, 4))
-    _check_path_words(keys.min(), keys.max())
-    if shared:
-        words = _words32(seeds[0])
-        entropy = np.array(words + [0] * (_POOL_SIZE - len(words)), dtype=np.uint32)[:, None]
+        words = np.array(state, dtype="<u4").view("<u8").reshape(count, 4)
     else:
-        entropy = np.zeros((_POOL_SIZE, count), dtype=np.uint32)
-        entropy[:2] = np.array(seeds, dtype="<u8").view("<u4").reshape(count, 2).T
-    return Substreams(_seed_words(entropy, keys.astype(np.uint32)))
-
-
-def _require(obj, names, kinds, what: str) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ValueError(f"{name} must be {what}, got {value!r}")
+        _check_path_words(keys.min(), keys.max())
+        if shared:
+            seed32 = _words32(seeds[0])
+            entropy = np.array(seed32 + [0] * (_POOL_SIZE - len(seed32)), dtype=np.uint32)[:, None]
+        else:
+            entropy = np.zeros((_POOL_SIZE, count), dtype=np.uint32)
+            entropy[:2] = np.array(seeds, dtype="<u8").view("<u4").reshape(count, 2).T
+        words = _seed_words(entropy, keys.astype(np.uint32))
+    words = np.ascontiguousarray(words, dtype=np.uint64)  # PCG64 reads rows by pointer
+    return (np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words)
 
 
 def require_integers(obj, *names: str) -> None:
     """Raise ValueError unless each named attribute of ``obj`` is a non-bool integer."""
-    _require(obj, names, (int, np.integer), "an integer")
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def require_real(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a non-bool real, finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        if math.isfinite(value):
+            return
+    except OverflowError:  # an int float64 cannot hold (its digits may be too many to print)
+        raise ValueError(f"{name} must be within float64's range, "
+                         f"got a {value.bit_length()}-bit integer") from None
+    raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def require_reals(obj, *names: str) -> None:
-    """Raise ValueError unless each named attribute of ``obj`` is a non-bool real number."""
-    _require(obj, names, (int, float, np.integer, np.floating), "a real number")
+    """Raise ValueError unless each named attribute of ``obj`` passes :func:`require_real`."""
+    for name in names:
+        require_real(name, getattr(obj, name))
+
+
+def column_names(name: str, value) -> tuple[str, ...]:
+    """``value``, a sequence of ``str`` column names, as a tuple.
+
+    Anything else raises a ValueError that names ``name``: a bare string,
+    whose characters would pass for one-letter names, or a non-``str`` entry.
+    """
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise ValueError(f"{name} must be a sequence of column names, got {value!r}")
+    names = tuple(value)
+    for entry in names:
+        if not isinstance(entry, str):
+            raise ValueError(f"{name} must hold column names (str), got {entry!r}")
+    return names
 
 
 def check_threads(threads) -> None:
@@ -239,8 +249,8 @@ def check_threads(threads) -> None:
 
 def check_level(level) -> None:
     """Raise ValueError unless ``level``, a confidence level, is a non-bool real in (0, 1)."""
-    require_reals(SimpleNamespace(level=level), "level")
-    if not 0.0 < level < 1.0:  # NaN fails too
+    require_real("level", level)
+    if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
 
 

@@ -246,11 +246,11 @@ SENSITIVITY = ("sensitivity", *GHOST, "--method", "rc", "--tau2-dist", "uniform"
                "--output", "s.csv")
 BAD_ARGUMENT_VALUES = {
     "tau2_negative": (("correct", *GHOST, "--method", "rc", "--tau2", "-1"),
-                      "argument --tau2: must be a finite nonnegative number, got -1.0"),
+                      "argument --tau2: tau2 must be nonnegative, got -1.0"),
     "tau2_nan": (("correct", *GHOST, "--method", "simex", "--tau2", "nan"),
-                 "argument --tau2: must be a finite nonnegative number, got nan"),
+                 "argument --tau2: tau2 must be finite, got nan"),
     "tau2_inf": (("correct", *GHOST, "--method", "rc", "--tau2", "inf"),
-                 "argument --tau2: must be a finite nonnegative number, got inf"),
+                 "argument --tau2: tau2 must be finite, got inf"),
     "seed_correct": ((*CORRECT, "--seed", "-1"), "argument --seed: must be nonnegative, got -1"),
     "seed_sensitivity": ((*SENSITIVITY, "--tau2-min", "1", "--tau2-max", "5", "--seed", "-1"),
                          "argument --seed: must be nonnegative, got -1"),
@@ -258,9 +258,9 @@ BAD_ARGUMENT_VALUES = {
                        "--seed", "-1"), "argument --seed: must be nonnegative, got -1"),
     "lambda_nan": (("correct", *GHOST, "--method", "simex", "--tau2", "5",
                     "--lambda-grid", "0,0.5,nan"),
-                   "--lambda-grid: lambda_grid must hold finite numbers, got (0.0, 0.5, nan)"),
+                   "--lambda-grid: lambda_grid[2] must be finite, got nan"),
     "lambda_nan_rc": ((*CORRECT, "--lambda-grid", "0,nan"),  # rc checks the grid it ignores
-                      "--lambda-grid: lambda_grid must hold finite numbers, got (0.0, nan)"),
+                      "--lambda-grid: lambda_grid[1] must be finite, got nan"),
     "lambda_repeated": ((*CORRECT, "--lambda-grid", "0,1,1"),
                         "--lambda-grid: lambda_grid must be strictly increasing, "
                         "got (0.0, 1.0, 1.0)"),
@@ -270,7 +270,7 @@ BAD_ARGUMENT_VALUES = {
     "prior_min": ((*SENSITIVITY, "--tau2-min", "-5", "--tau2-max", "5"),
                   "tau2 prior: min must be nonnegative (variance units), got -5.0"),
     "prior_max": ((*SENSITIVITY, "--tau2-min", "1", "--tau2-max", "inf"),
-                  "tau2 prior: distribution bounds must be finite"),
+                  "tau2 prior: max must be finite, got inf"),
 }
 
 
@@ -417,6 +417,19 @@ def test_non_numeric_scenario_fields_are_runtime_errors(tmp_path, scenario, caps
     assert code == 1, err
     assert err.startswith(f"mecalib: error during simulation study: {knob} must be a real number")
     assert len(err.splitlines()) == 1 and out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("knob", ["tau2", "sigma2", "gamma"])
+def test_a_scenario_number_beyond_float64_is_one_error_line(tmp_path, knob):
+    path = tmp_path / "f.json"
+    path.write_text('[{"%s": %s}]' % (knob, "9" * 400))
+    proc = run_cli("simulate", "--scenarios-file", str(path), "--reps", "2",
+                   "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (f"mecalib: error during simulation study: {knob} must be within "
+                           "float64's range, got a 1329-bit integer\n")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert not (tmp_path / "out").exists()
 
 

@@ -99,6 +99,25 @@ def test_error_variance_validation():
         ErrorVariance(1.0, source="guess")
 
 
+@pytest.mark.parametrize("tau2, message", [
+    ("1", "tau2 must be a real number, got '1'"),
+    (None, "tau2 must be a real number, got None"),
+    (True, "tau2 must be a real number, got True"),
+    (10**400, "tau2 must be within float64's range, got a 1329-bit integer"),
+    (float("nan"), "tau2 must be finite, got nan"),
+    (-float("inf"), "tau2 must be finite, got -inf"),
+    (-1, "tau2 must be nonnegative, got -1"),
+])
+def test_error_variance_refuses_what_is_not_a_finite_nonnegative_number(tau2, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ErrorVariance(tau2)
+
+
+def test_error_variance_keeps_the_number_it_is_given():
+    for tau2 in (0, 2.5, np.float32(2.5), np.int64(3), 2**1023):
+        assert ErrorVariance(tau2).tau2 is tau2
+
+
 # --------------------------------------------------------------------------
 # uncorrected fit
 # --------------------------------------------------------------------------
@@ -192,6 +211,15 @@ def test_simex_config_validation():
         SimexConfig(lambda_grid=(0.0, 0.5, float("nan")))
     with pytest.raises(ValueError, match="finite"):
         SimexConfig(lambda_grid=(0.0, 1.0, float("inf")))
+    for grid, message in [
+        ((0, "1", 2), "lambda_grid[1] must be a real number, got '1'"),
+        ((0, 10**400), "lambda_grid[1] must be within float64's range, got a 1329-bit integer"),
+        ((0.0, 1.0, True), "lambda_grid[2] must be a real number, got True"),
+        ((0.0, float("nan")), "lambda_grid[1] must be finite, got nan"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimexConfig(lambda_grid=grid)
+    assert SimexConfig(lambda_grid=(0, np.int64(1), np.float32(2.5))).lambda_grid == (0.0, 1.0, 2.5)
     for knobs in ({"n_sim": 2.5}, {"n_sim": True}, {"n_sim": "100"},
                   {"seed": 1.5}, {"seed": False}, {"seed": 3.0}):
         with pytest.raises(ValueError, match=f"{next(iter(knobs))} must be an integer"):
@@ -589,7 +617,7 @@ def test_bootstrap_validates_arguments():
     (dict(level=True), "level must be a real number, got True"),
     (dict(level=0), "level must be in (0, 1), got 0"),
     (dict(level=1.5), "level must be in (0, 1), got 1.5"),
-    (dict(level=float("nan")), "level must be in (0, 1), got nan"),
+    (dict(level=float("nan")), "level must be finite, got nan"),
     (dict(n_boot=50.5), "n_boot must be an integer, got 50.5"),
     (dict(n_boot=True), "n_boot must be an integer, got True"),
     (dict(n_boot="60"), "n_boot must be an integer, got '60'"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,18 @@ def test_dataset_invariants():
         Dataset(("a",), np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("names, message", [
+    ("ab", "column_names must be a sequence of column names, got 'ab'"),
+    ((1, 2), "column_names must hold column names (str), got 1"),
+    (("a", None), "column_names must hold column names (str), got None"),
+    (2, "column_names must be a sequence of column names, got 2"),
+])
+def test_dataset_column_names_are_a_sequence_of_strings(names, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(names, np.ones((3, 2)))
+    assert Dataset(["a", "b"], np.ones((3, 2))).column_names == ("a", "b")
+
+
 def test_dataset_is_immutable_and_does_not_freeze_caller_array():
     source = np.ones((2, 2))
     data = Dataset(("a", "b"), source)
@@ -153,9 +167,24 @@ def test_analysis_spec_validation():
     with pytest.raises(ValueError, match="more than one role"):
         AnalysisSpec("y", ("x", "x"))
     spec = AnalysisSpec("y", ["x1", "x2"], ["z"])
+    assert spec.covariates == ("z",)
     assert spec.exposure == "x1"
     assert spec.n_replicates == 2
     assert spec.all_columns() == ("y", "x1", "x2", "z")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("y", ("x",), "age"), "covariates must be a sequence of column names, got 'age'"),
+    (("y", "bp_star_1"),
+     "exposure_replicates must be a sequence of column names, got 'bp_star_1'"),
+    (("y", ("x", 2)), "exposure_replicates must hold column names (str), got 2"),
+    (("y", ("x",), (b"age",)), "covariates must hold column names (str), got b'age'"),
+    (("y", ("x",), None), "covariates must be a sequence of column names, got None"),
+])
+def test_analysis_spec_roles_are_sequences_of_strings(args, message):
+    # a bare string would be read as one-letter column names
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AnalysisSpec(*args)
 
 
 def test_design_matrix_two_rows_with_covariate():

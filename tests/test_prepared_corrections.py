@@ -39,7 +39,7 @@ from mecalib import (
     wald_interval,
 )
 from mecalib.correct import correction_steps, prepare_correction
-from mecalib.sensitivity import SensitivityDraw, _draw_rng
+from mecalib.sensitivity import SensitivityDraw
 from mecalib.simstudy import BLOCK_REPS, METHODS, run_scenario, scenario_grid
 from mecalib.util import _ARRAY_PASS_FROM, draw_seed, substream, write_csv_rows
 
@@ -50,7 +50,7 @@ def fresh_draws(data, spec, method, result, simex_config, seed):
     """Per draw: a fresh full correction at its tau2, or None where it is infeasible."""
     expected = []
     for index, draw in enumerate(result.draws):
-        cfg = replace(simex_config, seed=draw_seed(_draw_rng(seed, index)))
+        cfg = replace(simex_config, seed=draw_seed(substream(seed, 1, index)))
         try:
             fresh = correction_steps(method)[0](data, spec, ErrorVariance(draw.tau2), cfg)
         except InfeasibleCorrectionError:
@@ -92,11 +92,11 @@ def test_threads_do_not_change_draws(method, ci):
 
 
 def per_draw_loop(data, spec, method, tau2_values, simex_config, seed, ci, n_boot=50):
-    """The draws as a loop of fresh full corrections gives them, seeded from ``_draw_rng``."""
+    """The draws as a loop of fresh full corrections; draw i is seeded from stream (1, i)."""
     corrector = correction_steps(method)[0]
     draws = []
     for index, tau2 in enumerate(tau2_values):
-        rng = _draw_rng(seed, index)
+        rng = substream(seed, 1, index)
         cfg = replace(simex_config, seed=draw_seed(rng))
         interval_seed = draw_seed(rng)
         try:
@@ -174,7 +174,7 @@ def test_simex_overflow_raises_the_lowest_failing_draws_error(monkeypatch):
     monkeypatch.setattr(sensitivity, "sample_tau2", lambda dist, m, seed: tau2.copy())
     messages = {}
     for index in (40, 50, 70):
-        draw_cfg = replace(cfg, seed=draw_seed(_draw_rng(9, index)))
+        draw_cfg = replace(cfg, seed=draw_seed(substream(9, 1, index)))
         with pytest.raises(ValueError) as alone:
             correct_simex(data, spec, ErrorVariance(tau2[index]), draw_cfg)
         messages[index] = str(alone.value)

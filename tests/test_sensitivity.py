@@ -19,7 +19,7 @@ from mecalib import (
     run_sensitivity,
 )
 import mecalib.sensitivity as sensitivity
-from mecalib.sensitivity import _draw_rng, sample_tau2, trapezoidal_inverse_cdf
+from mecalib.sensitivity import sample_tau2, trapezoidal_inverse_cdf
 from mecalib.util import draw_seed, substream
 
 from conftest import base_scenario_dataset
@@ -53,6 +53,19 @@ def test_distribution_validation():
 def test_distribution_parameters_must_be_real_numbers(kwargs):
     with pytest.raises(ValueError, match="must be a real number"):
         ErrorVarianceDistribution(**{"kind": "uniform", "min": 0.0, "max": 2.0, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(max=10**400), "max must be within float64's range, got a 1329-bit integer"),
+    (dict(min=-float("inf")), "min must be finite, got -inf"),
+    (dict(max=float("nan")), "max must be finite, got nan"),
+    (dict(kind="triangular", mode=float("nan")), "mode must be finite, got nan"),
+    (dict(kind="trapezoidal", lower_mode=1.0, upper_mode=float("inf")),
+     "upper_mode must be finite, got inf"),
+])
+def test_distribution_parameters_must_be_finite(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ErrorVarianceDistribution(**{"kind": "uniform", "min": 0, "max": 2.0, **kwargs})
 
 
 def test_triangular_degenerate_support():
@@ -319,7 +332,7 @@ def test_degenerate_prior_reproduces_single_corrector_call():
         data, spec, dist, "simex", m=2, ci=False, simex_config=cfg, seed=4
     )
     for i, draw in enumerate(simex_result.draws):
-        expected_seed = draw_seed(_draw_rng(4, i))
+        expected_seed = draw_seed(substream(4, 1, i))
         expected = correct_simex(
             data, spec, ErrorVariance(25.0), SimexConfig(n_sim=10, seed=expected_seed)
         ).estimate

@@ -273,6 +273,16 @@ def test_scenario_knobs_must_be_real_numbers(knob, value):
         assert getattr(ScenarioConfig(**{knob: number}), knob) == 30
 
 
+@pytest.mark.parametrize("knob", ["tau2", "sigma2", "gamma"])
+def test_scenario_knobs_must_be_finite(knob):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{knob} must be within float64's range, got a 1329-bit integer")):
+        ScenarioConfig(**{knob: 10**400})
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"^{knob} must be finite, got {value}$"):
+            ScenarioConfig(**{knob: value})
+
+
 # --------------------------------------------------------------------------
 # scenario files and the study report
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from mecalib import (
     correct_simex,
     estimate_tau2_from_replicates,
 )
-from mecalib.util import _ARRAY_PASS_FROM, Substreams, draw_seed, substream, substreams
+from mecalib.util import _ARRAY_PASS_FROM, _seed_words, draw_seed, substream, substreams
 
 from conftest import base_scenario_dataset
 
@@ -38,23 +38,26 @@ def assert_same_stream(actual, expected):
     assert np.array_equal(actual.chisquare(3.5, 5), expected.chisquare(3.5, 5))
 
 
+def assert_same_streams(streams, expected):
+    """``streams`` yields, in order, one generator equal to each of ``expected``."""
+    streams = list(streams)
+    assert len(streams) == len(expected)
+    for actual, reference in zip(streams, expected):
+        assert_same_stream(actual, reference)
+
+
 @pytest.mark.parametrize("count", [1, 50, 1000])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_substreams_equal_substream(seed, count):
-    streams = substreams(seed, np.arange(count))
-    assert len(streams) == count
-    for index in range(count):
-        assert_same_stream(streams[index], substream(seed, index))
+    assert_same_streams(substreams(seed, np.arange(count)),
+                        [substream(seed, index) for index in range(count)])
 
 
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_two_word_paths_equal_substream(seed, count):
     paths = [(3 * i, i % 2) for i in range(count - 1)] + [(2**32 - 1, 2**32 - 1)]
-    streams = substreams(seed, paths)
-    assert len(streams) == count
-    for index, path in enumerate(paths):
-        assert_same_stream(streams[index], substream(seed, *path))
+    assert_same_streams(substreams(seed, paths), [substream(seed, *path) for path in paths])
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -65,20 +68,24 @@ def test_a_seed_per_stream_equals_substream(count, width):
     # streams), then random 63-bit seeds
     seeds = [*SEEDS[:count], *(draw_seed(rng) for _ in range(count - len(SEEDS)))]
     paths = rng.integers(0, 2**32, size=(count, width))
-    streams = substreams(seeds, paths)
-    assert len(streams) == count
-    for index, (seed, path) in enumerate(zip(seeds, paths.tolist())):
-        assert_same_stream(streams[index], substream(seed, *path))
+    assert_same_streams(substreams(seeds, paths),
+                        [substream(seed, *path) for seed, path in zip(seeds, paths.tolist())])
     words64 = [seed % 2**64 for seed in seeds]  # the array pass without the long seed
-    table = substreams(words64, paths)
-    for index, (seed, path) in enumerate(zip(words64, paths.tolist())):
+    assert_same_streams(substreams(words64, paths),
+                        [substream(seed, *path) for seed, path in zip(words64, paths.tolist())])
+    # the array pass's seed words, at every count
+    entropy = np.zeros((4, count), dtype=np.uint32)
+    entropy[:2] = np.array(words64, dtype="<u8").view("<u4").reshape(count, 2).T
+    words = _seed_words(entropy, paths.astype(np.uint32))
+    assert words.shape == (count, 4)
+    for row, seed, path in zip(words, words64, paths.tolist()):
         expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)
-        assert np.array_equal(table.words[index], expected)
+        assert np.array_equal(row, expected)
 
 
 def test_substreams_validate_arguments():
-    assert len(substreams(3, np.arange(0))) == 0
-    assert len(substreams([], np.arange(0))) == 0
+    assert list(substreams(3, np.arange(0))) == []
+    assert list(substreams([], np.arange(0))) == []
     for count in (5, 50):
         with pytest.raises(ValueError, match="seed"):
             substreams(-1, np.arange(count))
@@ -95,22 +102,16 @@ def test_substreams_validate_arguments():
         substreams(3, np.arange(4.0))
     with pytest.raises(ValueError, match="paths"):
         substreams(3, 4)
-    streams = substreams(3, np.arange(2))
-    with pytest.raises(IndexError):
-        streams[2]
-    with pytest.raises(TypeError):
-        streams[0:1]
-    with pytest.raises(ValueError, match="shape"):
-        Substreams(np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("count", [3, 50])
-def test_a_negative_stream_index_is_an_index_error(count):
-    # a stray -1 must not address the last stream, which may be another seed's
-    streams = substreams([7] * (count - 1) + [8], np.arange(count))
-    for index in (-1, -count, -count - 1):
-        with pytest.raises(IndexError):
-            streams[index]
+def test_streams_come_in_order_and_end_after_the_last(count):
+    # the last stream is another seed's; it comes last and nothing follows it
+    seeds = [7] * (count - 1) + [8]
+    streams = substreams(seeds, np.arange(count))
+    for index, seed in enumerate(seeds):
+        assert_same_stream(next(streams), substream(seed, index))
+    assert next(streams, None) is None
     with pytest.raises(ValueError):
         substream(7, -1)
 
